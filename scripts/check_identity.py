@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Byte-identity gate: this checkout's CLI output against a reference revision.
+
+    python3 scripts/check_identity.py              # against HEAD
+    python3 scripts/check_identity.py --ref main~1
+
+The reference revision is exported with ``git archive`` into a temporary
+directory. Both source trees then run the same cases at the default stream
+length:
+
+- ``run --scenario N --seed S`` for presets 1-3 and seeds 1-5, writing the
+  JSON report and the ``--records`` JSONL;
+- one multi-centroid configuration (16 partitions, alpha 5, threshold 4.0,
+  outlier k 1.35, refresh every 50 inserts), so that synopses hold many
+  centroids and the outlier weighting fires, which the presets never do;
+- ``validate --seed 9``.
+
+Every output file, stdout, stderr and the exit code must match byte for
+byte. The exit code is 1 when anything differs, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MULTI_CENTROID = ["--partitions", "16", "--alpha", "5", "--threshold", "4.0",
+                  "--outlier-k", "1.35", "--refresh", "50"]
+
+
+def cases() -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments); ``run`` cases write report.json and records.jsonl."""
+    outputs = ["--out", "report.json", "--records", "records.jsonl"]
+    out = [
+        (f"run-s{scenario}-seed{seed}", ["run", "--scenario", str(scenario), "--seed", str(seed), *outputs])
+        for scenario in (1, 2, 3)
+        for seed in range(1, 6)
+    ]
+    out.append(("run-multi-centroid", ["run", "--scenario", "1", "--seed", "1", *MULTI_CENTROID, *outputs]))
+    out.append(("validate-seed9", ["validate", "--seed", "9"]))
+    return out
+
+
+def run_case(src: Path, workdir: Path, args: list[str]) -> dict[str, bytes]:
+    """Run the CLI from ``src`` in ``workdir``; every output as bytes by name."""
+    workdir.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("SYNALLOC_DATASET", None)
+    proc = subprocess.run([sys.executable, "-m", "synalloc", *args], cwd=workdir, env=env,
+                          capture_output=True)
+    outputs = {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout, "stderr": proc.stderr}
+    for path in sorted(workdir.iterdir()):
+        outputs[path.name] = path.read_bytes()
+    return outputs
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--ref", default="HEAD", help="git revision to compare against (default: HEAD)")
+    args = ap.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="check_identity-") as tmp:
+        tmp = Path(tmp)
+        ref_tree = tmp / "ref"
+        ref_tree.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", args.ref],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(ref_tree)], input=archive, check=True)
+        trees = {"ref": ref_tree / "src", "this": ROOT / "src"}
+
+        differing = 0
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for name, cli_args in cases():
+                futures = {side: pool.submit(run_case, src, tmp / side / name, cli_args)
+                           for side, src in trees.items()}
+                ref, this = (futures[side].result() for side in trees)
+                diff = [key for key in sorted(ref.keys() | this.keys()) if ref.get(key) != this.get(key)]
+                print(f"{name}: {'DIFFERENT ' + ', '.join(diff) if diff else 'identical'}", flush=True)
+                differing += bool(diff)
+
+    print(f"{differing} of {len(cases())} cases differ from {args.ref}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

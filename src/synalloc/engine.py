@@ -1,8 +1,10 @@
 """Routing engine: scores a vector against every partition and places it.
 
 Each partition keeps a CF-tree plus the synopsis last extracted from it.
-Allocation reads only the synopses (never raw data or live trees), then the
-chosen partition absorbs the vector and, every ``refresh_interval`` inserts,
+Allocation reads only the synopses (never raw data or live trees): their
+centroids are stacked into one matrix, rebuilt whenever a synopsis is
+published, and every partition is scored in one pass over it. The chosen
+partition then absorbs the vector and, every ``refresh_interval`` inserts,
 re-extracts and "disseminates" its synopsis (counted, not transmitted; all
 peers live in-process).
 """
@@ -20,7 +22,9 @@ from .similarity import (
     DEFAULT_OUTLIER_K,
     DEFAULT_THETA,
     EnsembleScore,
+    SegmentScores,
     ensemble_similarity,
+    score_segments,
 )
 from .synopsis import CFTree, Synopsis, extract_synopsis
 from .validation import as_vector
@@ -76,10 +80,10 @@ class AllocationRecord:
     t: int
     vector: np.ndarray
     chosen: int  # 1-based partition id
-    scores: list[EnsembleScore]  # one per partition, in partition order
+    sims: np.ndarray  # best similarity per partition, in partition order
 
     def similarities(self) -> list[float]:
-        return [s.similarity for s in self.scores]
+        return self.sims.tolist()
 
     def to_json_line(self) -> str:
         payload = {
@@ -104,6 +108,12 @@ def default_threshold(points: np.ndarray) -> float:
     """Leaf threshold scaled to the data: half the RMS per-dimension std."""
     t = THRESHOLD_STD_FACTOR * float(np.sqrt(points.var(axis=0).mean()))
     return max(t, 1e-12)  # all-identical initial data would otherwise give 0
+
+
+def stack_centroids(synopses: Sequence[Synopsis]) -> tuple[np.ndarray, np.ndarray]:
+    """All synopses' centroids as one matrix, with each synopsis's row offsets."""
+    centroids = [s.centroids for s in synopses]
+    return np.concatenate(centroids), np.cumsum([0] + [len(c) for c in centroids])
 
 
 class AllocationEngine:
@@ -137,6 +147,11 @@ class AllocationEngine:
             self.partitions.append(
                 PartitionState(i, tree, syn, initial_count=pts.shape[0])
             )
+        self._stack_synopses()
+
+    def _stack_synopses(self) -> None:
+        """Rebuild the routing matrix; called whenever a synopsis is published."""
+        self._centroids, self._offsets = stack_centroids(self.synopses)
 
     # -- queries -------------------------------------------------------
 
@@ -157,12 +172,13 @@ class AllocationEngine:
         return self._allocate(v)
 
     def _allocate(self, v: np.ndarray) -> tuple[int, list[EnsembleScore]]:
+        chosen, scores = self._route(v)
+        return chosen, scores.ensemble_scores()
+
+    def _route(self, v: np.ndarray) -> tuple[int, SegmentScores]:
         cfg = self.config
-        scores = [
-            ensemble_similarity(v, p.current_synopsis, cfg.theta, cfg.outlier_k)
-            for p in self.partitions
-        ]
-        sims = np.array([s.similarity for s in scores])
+        scores = score_segments(v, self._centroids, self._offsets, cfg.theta, cfg.outlier_k)
+        sims = scores.similarities
         return int(np.argmax(sims)) + 1, scores  # first max: lowest partition id
 
     # -- mutation --------------------------------------------------------
@@ -178,7 +194,7 @@ class AllocationEngine:
         except VectorError:
             self.rejected += 1
             raise
-        chosen, scores = self._allocate(v)
+        chosen, scores = self._route(v)
         p = self.partitions[chosen - 1]
         p.tree.insert(v)
         p.inserts_since_refresh += 1
@@ -189,7 +205,8 @@ class AllocationEngine:
             )
             p.inserts_since_refresh = 0
             self.messages_disseminated += 1
-        rec = AllocationRecord(self._t, v, chosen, scores)
+            self._stack_synopses()
+        rec = AllocationRecord(self._t, v, chosen, scores.similarities)
         self._t += 1
         return rec
 
@@ -236,6 +253,13 @@ class AllocationEngine:
                     issues.append(
                         f"partition {p.partition_id}: stored centroid drifted"
                     )
+        centroids, offsets = stack_centroids(self.synopses)
+        if not (
+            np.array_equal(self._centroids, centroids)
+            and np.array_equal(self._offsets, offsets)
+        ):
+            alpha_ok = False
+            issues.append("routing matrix differs from the published centroids")
 
         weights_ok = True
         probe = self.partitions[0].current_synopsis.centroids[0]

@@ -172,6 +172,67 @@ def _pool_rows(dissims: np.ndarray, theta: float, k: float) -> tuple[np.ndarray,
     return w, (dissims * w).sum(axis=1)
 
 
+@dataclass
+class SegmentScores:
+    """Fused scores of one vector against a stack of centroid segments.
+
+    Rows ``offsets[s]`` to ``offsets[s + 1] - 1`` of the stack form segment
+    ``s``; in the engine a segment is one partition's synopsis.
+    """
+
+    similarities: np.ndarray  # (segments,) best fused similarity per segment
+    dissims: np.ndarray  # (rows, 3) metric outcomes per centroid row
+    weights: np.ndarray  # (rows, 3)
+    pooled: np.ndarray  # (rows,)
+    offsets: np.ndarray  # (segments + 1,)
+    theta: float
+
+    def ensemble_scores(self) -> list[EnsembleScore]:
+        """One EnsembleScore per segment, taken from its first best row."""
+        rows = 1.0 - self.pooled
+        top = np.repeat(self.similarities, np.diff(self.offsets))
+        # np.argmax's rule within each segment: first maximum, NaN counting as one.
+        hits = np.flatnonzero((rows == top) | np.isnan(rows))
+        best = hits[np.searchsorted(hits, self.offsets[:-1])]
+        return [
+            EnsembleScore(
+                pooled_dissimilarity=o,
+                similarity=1.0 - o,
+                per_metric=[MetricOutcome(m, v) for m, v in zip(METRICS, d)],
+                weights=WeightVector(w, self.theta),
+            )
+            for o, d, w in zip(
+                self.pooled[best].tolist(), self.dissims[best].tolist(), self.weights[best]
+            )
+        ]
+
+
+def score_segments(
+    xv: np.ndarray,
+    centroids: np.ndarray,
+    offsets: np.ndarray,
+    theta: float = DEFAULT_THETA,
+    k: float = DEFAULT_OUTLIER_K,
+) -> SegmentScores:
+    """Score an already validated vector against every centroid row in one pass.
+
+    Every row is scored by the three metrics, weighted, and pooled; each
+    segment's similarity is the best of its rows. ``offsets`` must start at 0,
+    end at the row count, and describe non-empty segments.
+    """
+    if not 0.0 < theta < 1.0 / len(METRICS):
+        raise ConfigError(f"theta must lie in (0, 1/{len(METRICS)})")
+    if k <= 0.0:
+        raise ConfigError("outlier factor k must be positive")
+    if (centroids < 0).any():
+        raise VectorError("domain error: negative synopsis centroid")
+
+    dissims = _dissim_rows(xv, centroids)
+    w, pooled = _pool_rows(dissims, theta, k)
+    best = np.maximum.reduceat(1.0 - pooled, offsets[:-1])
+    return SegmentScores(best, dissims, w, pooled, offsets, theta)
+
+
 def ensemble_similarity(
     x,
     syn: Synopsis,
@@ -184,27 +245,8 @@ def ensemble_similarity(
     centroid with the highest similarity wins (ties go to the first in the
     dominant list). Inputs must be non-negative.
     """
-    if not 0.0 < theta < 1.0 / len(METRICS):
-        raise ConfigError(f"theta must lie in (0, 1/{len(METRICS)})")
-    if k <= 0.0:
-        raise ConfigError("outlier factor k must be positive")
     if len(syn.dominant) == 0:
         raise ConfigError("synopsis has no dominant clusters")
     xv = as_vector(x, dim=syn.centroids.shape[1], nonneg=True)
-    if (syn.centroids < 0).any():
-        raise VectorError("domain error: negative synopsis centroid")
-
-    dissims = _dissim_rows(xv, syn.centroids)
-    w, pooled = _pool_rows(dissims, theta, k)
-    best = int(np.argmax(1.0 - pooled))
-    per_metric = [
-        MetricOutcome(metric, float(dissims[best, j]))
-        for j, metric in enumerate(METRICS)
-    ]
-    o_prime = float(pooled[best])
-    return EnsembleScore(
-        pooled_dissimilarity=o_prime,
-        similarity=1.0 - o_prime,
-        per_metric=per_metric,
-        weights=WeightVector(w[best].copy(), theta),
-    )
+    offsets = np.array([0, syn.centroids.shape[0]])
+    return score_segments(xv, syn.centroids, offsets, theta, k).ensemble_scores()[0]

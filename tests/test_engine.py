@@ -5,13 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from synalloc import (
     AllocationEngine,
     ConfigError,
     EngineConfig,
     VectorError,
+    ensemble_similarity,
 )
+
+from conftest import make_synopsis
 
 
 # ------------------------------------------------------- naive oracle
@@ -294,3 +300,156 @@ class TestAudit:
         eng.partitions[1].current_synopsis.centroids[0] += 99.0
         report = eng.audit()
         assert not report.checks["synopsis_alpha_compliance"]
+
+    @pytest.mark.parametrize("fault", ["matrix", "offsets", "skipped_rebuild"])
+    def test_detects_stale_routing_matrix(self, rng, fault, monkeypatch):
+        # Root-fallback synopses: every ingest moves the chosen partition's mean.
+        initial = [rng.uniform(0, 10, size=(30, 2)) + 10 * i for i in range(2)]
+        eng = AllocationEngine(EngineConfig(n_partitions=2, dimension=2, alpha=1000), initial)
+        if fault == "matrix":
+            eng._centroids[1, 0] += 1e-9
+        elif fault == "offsets":
+            eng._offsets[1] += 1
+        else:
+            monkeypatch.setattr(eng, "_stack_synopses", lambda: None)
+            eng.ingest([3.0, 4.0])
+        report = eng.audit()
+        assert not report.checks["synopsis_alpha_compliance"]
+        assert "routing matrix differs from the published centroids" in report.issues
+        assert report.checks["mass_conservation"] and report.checks["cf_consistency"]
+
+
+# ------------------------------------------------------- fused scoring
+
+def bits(*values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def assert_same_score(got, want):
+    assert bits(got.similarity, got.pooled_dissimilarity) == bits(
+        want.similarity, want.pooled_dissimilarity
+    )
+    assert [o.metric for o in got.per_metric] == [o.metric for o in want.per_metric]
+    assert bits(*(o.dissimilarity for o in got.per_metric)) == bits(
+        *(o.dissimilarity for o in want.per_metric)
+    )
+    assert got.weights.weights.tobytes() == want.weights.weights.tobytes()
+    assert got.weights.theta == want.weights.theta
+
+
+def first_best_row(x, centroids, theta, k):
+    """Per-row scores through one-row synopses; the first maximum wins."""
+    best = None
+    for c in centroids:
+        score = ensemble_similarity(x, make_synopsis([c]), theta, k)
+        if best is None or score.similarity > best.similarity:
+            best = score
+    return best
+
+
+def install_synopses(eng, partitions):
+    """Publish one synopsis per partition, centroids as given."""
+    for p, rows in zip(eng.partitions, partitions):
+        p.current_synopsis = make_synopsis(rows, partition_id=p.partition_id)
+    eng._stack_synopses()
+
+
+def assert_allocate_matches_per_synopsis(eng, x):
+    cfg = eng.config
+    chosen, scores = eng.allocate(x)
+    assert len(scores) == cfg.n_partitions
+    for syn, got in zip(eng.synopses, scores):
+        assert_same_score(got, ensemble_similarity(x, syn, cfg.theta, cfg.outlier_k))
+    assert chosen == int(np.argmax([s.similarity for s in scores])) + 1
+    return chosen, scores
+
+
+# Few distinct values, so duplicate rows, identical partitions and zeros are common.
+abundance = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 40.0]), st.floats(0, 1e4))
+
+
+@st.composite
+def published_synopses(draw):
+    d = draw(st.integers(1, 4))
+    row = hnp.arrays(np.float64, d, elements=abundance)
+    partitions = draw(st.lists(st.lists(row, min_size=1, max_size=5), min_size=1, max_size=5))
+    if draw(st.booleans()):  # a duplicate centroid inside one partition
+        partitions[0].append(partitions[0][0])
+    if draw(st.booleans()):  # an identical copy of a whole partition
+        partitions.append(list(partitions[0]))
+    x = draw(st.one_of(st.just(np.zeros(d)), row))
+    theta = draw(st.sampled_from([0.05, 0.1, 0.3]))
+    k = draw(st.sampled_from([1.0, 1.35, 3.0]))  # below sqrt(2) the outlier rule can fire
+    return partitions, x, theta, k
+
+
+class TestFusedScoring:
+    """allocate() scores all partitions in one pass; it must equal scoring each alone."""
+
+    @given(published_synopses())
+    @settings(max_examples=300, deadline=None)
+    def test_allocate_equals_per_synopsis_scores(self, case):
+        partitions, x, theta, k = case
+        d = x.shape[0]
+        cfg = EngineConfig(n_partitions=len(partitions), dimension=d, theta=theta, outlier_k=k)
+        eng = AllocationEngine(cfg, [np.ones((1, d))] * len(partitions))
+        install_synopses(eng, partitions)
+        assert eng.audit().checks["synopsis_alpha_compliance"]
+
+        chosen, scores = assert_allocate_matches_per_synopsis(eng, x)
+        for rows, got in zip(partitions, scores):
+            assert_same_score(got, first_best_row(x, rows, theta, k))
+        sims = [s.similarity for s in scores]
+        assert chosen == 1 + sims.index(max(sims))  # ties to the lowest id
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1.2, 3.0]))
+    @settings(max_examples=25, deadline=None)
+    def test_ingest_matches_preceding_allocate(self, seed, k):
+        # Partitions 1-2 publish several alpha-dominant clusters; partition 3's
+        # points stay below alpha, so it publishes its 1-row root fallback.
+        centers = np.array([[1.0, 1.0, 1.0], [6.0, 6.0, 6.0], [12.0, 2.0, 5.0]])
+        scattered = np.array([[0.0, 9.0, 3.0], [20.0, 1.0, 8.0], [4.0, 30.0, 0.0]])
+        initial = [np.repeat(centers + 10 * i, 4, axis=0) for i in range(2)] + [scattered]
+        cfg = EngineConfig(n_partitions=3, dimension=3, alpha=3, threshold=0.5,
+                           outlier_k=k, refresh_interval=2)
+        eng = AllocationEngine(cfg, initial)
+        assert [len(s.centroids) for s in eng.synopses] == [3, 3, 1]
+
+        stream = np.random.default_rng(seed).uniform(0.0, 30.0, size=(30, 3))
+        stream[0] = 0.0
+        for x in stream:
+            chosen, scores = assert_allocate_matches_per_synopsis(eng, x)
+            rec = eng.ingest(x)
+            assert rec.chosen == chosen
+            assert rec.similarities() == [s.similarity for s in scores]
+        assert eng.audit().ok
+
+    def test_first_centroid_wins_a_tie_inside_a_partition(self):
+        # One and two ulps away from x: distinct outcomes, similarity 1.0 for all.
+        x = np.full(4, 1e8)
+        a = x.copy()
+        a[0] = np.nextafter(a[0], np.inf)
+        b = a.copy()
+        b[1] = np.nextafter(b[1], np.inf)
+        eng = engine_around([[1.0] * 4, [2.0] * 4])
+        install_synopses(eng, [[b, a, x], [a, x]])
+        chosen, scores = assert_allocate_matches_per_synopsis(eng, x)
+        assert chosen == 1
+        assert [s.similarity for s in scores] == [1.0, 1.0]
+        for got, first in zip(scores, [b, a]):
+            assert got.pooled_dissimilarity > 0.0
+            assert_same_score(got, ensemble_similarity(x, make_synopsis([first])))
+
+    def test_overflowing_input_follows_argmax_nan_rule(self):
+        # Finite input whose sums overflow: the metrics are NaN, and NaN counts
+        # as the maximum, first one winning, as np.argmax does.
+        eng = engine_around([[1.0, 2.0], [3.0, 4.0]])
+        x = [1e308, 1e308]
+        with np.errstate(all="ignore"):
+            install_synopses(eng, [[[1.0, 2.0], [1e308, 1e308]], [[1e308, 5.0]]])
+            chosen, scores = assert_allocate_matches_per_synopsis(eng, x)
+            want = [ensemble_similarity(x, make_synopsis([r]), 0.1, 3.0) for r in [[1.0, 2.0], [1e308, 5.0]]]
+        assert chosen == 1
+        for got, w in zip(scores, want):
+            assert math.isnan(got.similarity)
+            assert_same_score(got, w)
