@@ -29,6 +29,10 @@ EXIT_INVARIANT = 3
 
 DATASET_ENV = "SYNALLOC_DATASET"
 
+# Flag defaults come from the library's own defaults.
+_ENGINE = EngineConfig()
+_INIT = SyntheticInit()
+
 
 class _Parser(argparse.ArgumentParser):
     # Bad flags are configuration errors; keep exit codes under our control.
@@ -38,20 +42,20 @@ class _Parser(argparse.ArgumentParser):
 
 def _engine_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("engine")
-    group.add_argument("--partitions", type=int, default=5, metavar="N",
-                       help="number of partitions (default: 5)")
-    group.add_argument("--alpha", type=int, default=50, metavar="A",
-                       help="minimum micro-cluster size for the synopsis (default: 50)")
-    group.add_argument("--branching", type=int, default=8, metavar="B",
-                       help="tree branching factor (default: 8)")
-    group.add_argument("--threshold", type=float, default=None, metavar="T",
+    group.add_argument("--partitions", type=int, default=_ENGINE.n_partitions, metavar="N",
+                       help=f"number of partitions (default: {_ENGINE.n_partitions})")
+    group.add_argument("--alpha", type=int, default=_ENGINE.alpha, metavar="A",
+                       help=f"minimum micro-cluster size for the synopsis (default: {_ENGINE.alpha})")
+    group.add_argument("--branching", type=int, default=_ENGINE.branching_factor, metavar="B",
+                       help=f"tree branching factor (default: {_ENGINE.branching_factor})")
+    group.add_argument("--threshold", type=float, default=_ENGINE.threshold, metavar="T",
                        help="leaf radius threshold (default: data-derived)")
-    group.add_argument("--theta", type=float, default=0.1,
-                       help="weight assigned to an outlier metric (default: 0.1)")
-    group.add_argument("--outlier-k", type=float, default=3.0, metavar="K",
-                       help="z-score multiplier for flagging metrics (default: 3)")
-    group.add_argument("--refresh", type=int, default=1, metavar="U",
-                       help="inserts between synopsis refreshes (default: 1)")
+    group.add_argument("--theta", type=float, default=_ENGINE.theta,
+                       help=f"weight assigned to an outlier metric (default: {_ENGINE.theta:g})")
+    group.add_argument("--outlier-k", type=float, default=_ENGINE.outlier_k, metavar="K",
+                       help=f"z-score multiplier for flagging metrics (default: {_ENGINE.outlier_k:g})")
+    group.add_argument("--refresh", type=int, default=_ENGINE.refresh_interval, metavar="U",
+                       help=f"inserts between synopsis refreshes (default: {_ENGINE.refresh_interval})")
 
 
 def _data_flags(parser: argparse.ArgumentParser) -> None:
@@ -60,11 +64,11 @@ def _data_flags(parser: argparse.ArgumentParser) -> None:
                        help=f"air-quality CSV for the initial split (default: ${DATASET_ENV})")
     group.add_argument("--strict", action="store_true",
                        help="fail on malformed dataset rows instead of skipping them")
-    group.add_argument("--init-per-partition", type=int, default=500, metavar="N",
+    group.add_argument("--init-per-partition", type=int, default=_INIT.per_partition, metavar="N",
                        help="synthetic seed vectors per partition when no dataset is given")
-    group.add_argument("--init-sigma", type=float, default=None, metavar="S",
+    group.add_argument("--init-sigma", type=float, default=_INIT.sigma, metavar="S",
                        help="sigma of the synthetic seed clusters (default: half the stream sigma)")
-    group.add_argument("--init-spread", type=float, default=None, metavar="S",
+    group.add_argument("--init-spread", type=float, default=_INIT.spread, metavar="S",
                        help="mean spacing between synthetic seed clusters (default: the stream sigma)")
 
 
@@ -116,10 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _engine_config(args, dimension: int) -> EngineConfig:
+def _engine_config(args, dataset: Dataset | None) -> EngineConfig:
+    """Engine settings from the flags; the dimension is the dataset's, if one is given."""
     return EngineConfig(
         n_partitions=args.partitions,
-        dimension=dimension,
+        dimension=dataset.dimension if dataset is not None else _ENGINE.dimension,
         alpha=args.alpha,
         branching_factor=args.branching,
         threshold=args.threshold,
@@ -165,8 +170,7 @@ def _scenario_specs(args) -> list[tuple[str, ScenarioSpec]]:
 def _cmd_run(args) -> int:
     dataset = _resolve_dataset(args)
     init = _synthetic_init(args)
-    dim = dataset.dimension if dataset is not None else 5
-    config = _engine_config(args, dim)
+    config = _engine_config(args, dataset)
 
     record_lines: list[str] = []
     on_record = (lambda rec: record_lines.append(rec.to_json_line())) if args.records else None
@@ -194,19 +198,16 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     dataset = _resolve_dataset(args)
     init = _synthetic_init(args)
-    dim = dataset.dimension if dataset is not None else 5
-    config = _engine_config(args, dim)
+    config = _engine_config(args, dataset)
     spec = ScenarioSpec(args.mu, args.sigma, args.vectors, args.seed)
 
     run = execute_scenario(config, spec, dataset, init, label="validate")
     audit = run.engine.audit()
-    checks = dict(audit.checks)
-    # execute_scenario already raises if this disagrees; recompute for the record.
-    checks["moment_agreement"] = True
+    checks = {**audit.checks, "moment_agreement": not run.moment_issues}
 
     for name, ok in checks.items():
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
-    for issue in audit.issues:
+    for issue in audit.issues + run.moment_issues:
         print(f"  {issue}", file=sys.stderr)
     if not all(checks.values()):
         return EXIT_INVARIANT

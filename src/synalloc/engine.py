@@ -23,6 +23,7 @@ from .similarity import (
     DEFAULT_THETA,
     EnsembleScore,
     SegmentScores,
+    _check_weight_params,
     ensemble_similarity,
     score_segments,
 )
@@ -56,10 +57,7 @@ class EngineConfig:
             raise ConfigError("branching factor must be >= 2")
         if self.threshold is not None and not self.threshold > 0:
             raise ConfigError("threshold must be positive")
-        if not 0.0 < self.theta < 1.0 / 3.0:
-            raise ConfigError("theta must lie in (0, 1/3)")
-        if self.outlier_k <= 0:
-            raise ConfigError("outlier factor k must be positive")
+        _check_weight_params(self.theta, self.outlier_k)
         if self.refresh_interval < 1:
             raise ConfigError("refresh interval must be >= 1")
 

@@ -6,7 +6,7 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -96,6 +96,7 @@ class ScenarioRun:
     report: RunReport
     engine: AllocationEngine
     resident: list[np.ndarray]
+    moment_issues: list[str] = field(default_factory=list)  # report-vs-tree moment disagreements
 
 
 def _derived_seeds(master: int) -> tuple[int, int, int]:
@@ -159,7 +160,6 @@ def execute_scenario(
             )
         )
 
-    _cross_check_moments(engine, per_partition)
     counts = [p.synthetic_count for p in per_partition]
     majority = int(np.argmax(counts)) + 1  # first max -> lowest id on ties
     report = RunReport(
@@ -173,7 +173,12 @@ def execute_scenario(
         scenario_label=label,
         dataset_source=source,
     )
-    return ScenarioRun(report=report, engine=engine, resident=resident_sets)
+    return ScenarioRun(
+        report=report,
+        engine=engine,
+        resident=resident_sets,
+        moment_issues=_cross_check_moments(engine, per_partition),
+    )
 
 
 def run_scenario(
@@ -184,26 +189,31 @@ def run_scenario(
     label: str = "",
     on_record: Callable[[AllocationRecord], None] | None = None,
 ) -> RunReport:
-    return execute_scenario(config, scenario, dataset, init, label, on_record).report
+    """Run one scenario; raises SynallocError if the moment cross-check fails."""
+    run = execute_scenario(config, scenario, dataset, init, label, on_record)
+    if run.moment_issues:
+        raise SynallocError(run.moment_issues[0])
+    return run.report
 
 
-def _cross_check_moments(engine: AllocationEngine, reports: list[PartitionReport]) -> None:
-    """Partition moments recomputed from raw vectors must match the tree CFs."""
+def _cross_check_moments(engine: AllocationEngine, reports: list[PartitionReport]) -> list[str]:
+    """Where partition moments recomputed from raw vectors disagree with the tree CFs."""
+    issues = []
     for rep, state in zip(reports, engine.partitions):
         cf = state.tree.root_cf()
         if cf.count != rep.count:
-            raise SynallocError(
+            issues.append(
                 f"partition {rep.partition_id}: tree holds {cf.count} points, report says {rep.count}"
             )
+            continue
         cf_mean = cf.centroid()
         cf_std = np.sqrt(cf.variance())
         ok = np.allclose(cf_mean, rep.mean, rtol=_MOMENT_RTOL, atol=1e-9) and np.allclose(
             cf_std, rep.std, rtol=_MOMENT_RTOL, atol=1e-6
         )
         if not ok:
-            raise SynallocError(
-                f"partition {rep.partition_id}: tree moments disagree with raw statistics"
-            )
+            issues.append(f"partition {rep.partition_id}: tree moments disagree with raw statistics")
+    return issues
 
 
 @dataclass
@@ -272,43 +282,33 @@ def write_report_json(reports: RunReport | Sequence[RunReport], path) -> None:
     _atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
+def _summary_cells(row: SummaryRow) -> list[str]:
+    """One summary row as printed text, in SUMMARY_COLUMNS order."""
+    return [
+        row.scenario,
+        f"{row.gen_mu:.6g}",
+        f"{row.gen_sigma:.6g}",
+        str(row.majority_count),
+        f"{row.mean_min:.6g}",
+        f"{row.mean_max:.6g}",
+        f"{row.std_min:.6g}",
+        f"{row.std_max:.6g}",
+    ]
+
+
 def write_summary_csv(rows: Sequence[SummaryRow], path) -> None:
     import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SUMMARY_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.scenario,
-                f"{row.gen_mu:.6g}",
-                f"{row.gen_sigma:.6g}",
-                row.majority_count,
-                f"{row.mean_min:.6g}",
-                f"{row.mean_max:.6g}",
-                f"{row.std_min:.6g}",
-                f"{row.std_max:.6g}",
-            ]
-        )
+    writer.writerows(_summary_cells(row) for row in rows)
     _atomic_write(path, buf.getvalue())
 
 
 def format_summary(rows: Sequence[SummaryRow]) -> str:
     """Fixed-width text table of the summary rows."""
-    cells = [SUMMARY_COLUMNS] + [
-        [
-            row.scenario,
-            f"{row.gen_mu:.6g}",
-            f"{row.gen_sigma:.6g}",
-            str(row.majority_count),
-            f"{row.mean_min:.6g}",
-            f"{row.mean_max:.6g}",
-            f"{row.std_min:.6g}",
-            f"{row.std_max:.6g}",
-        ]
-        for row in rows
-    ]
+    cells = [SUMMARY_COLUMNS] + [_summary_cells(row) for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(SUMMARY_COLUMNS))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in cells]
     return "\n".join(lines)

@@ -52,55 +52,39 @@ class EnsembleScore:
     weights: WeightVector
 
 
-def _pair(x, s) -> tuple[np.ndarray, np.ndarray]:
+def _check_weight_params(theta: float, k: float, n: int = len(METRICS)) -> None:
+    """Domain of the weight rule over ``n`` outcomes: 0 < theta < 1/n and k > 0."""
+    if not 0.0 < theta < 1.0 / n:
+        raise ConfigError(f"theta must lie in (0, 1/{n})")
+    if not k > 0.0:  # written so that NaN fails too
+        raise ConfigError("outlier factor k must be positive")
+
+
+def _outcomes(x, s) -> np.ndarray:
+    """Validated (J, S, K) outcomes of one pair: the one-row case of ``_dissim_rows``."""
     xv = as_vector(x, nonneg=True)
     sv = as_vector(s, dim=xv.shape[0], nonneg=True)
-    return xv, sv
-
-
-def _clip01(v: float) -> float:
-    # Round-off can push results a hair outside [0, 1]; clamp it back.
-    return min(1.0, max(0.0, v))
+    return _dissim_rows(xv, sv[None, :])[0]
 
 
 def jaccard_dissim(x, s) -> float:
     """Share of the combined abundance that the two vectors do not share."""
-    xv, sv = _pair(x, s)
-    a = float(np.abs(xv - sv).sum())
-    t = float(xv.sum() + sv.sum())
-    if t + a == 0.0:
-        return 0.0
-    return _clip01(2.0 * a / (t + a))
+    return float(_outcomes(x, s)[0])
 
 
 def sorensen_dissim(x, s) -> float:
     """Manhattan distance normalised by total abundance (Bray-Curtis)."""
-    xv, sv = _pair(x, s)
-    t = float(xv.sum() + sv.sum())
-    if t == 0.0:
-        return 0.0
-    return _clip01(float(np.abs(xv - sv).sum()) / t)
+    return float(_outcomes(x, s)[1])
 
 
 def kulczynski_dissim(x, s) -> float:
     """One minus the mean fraction of each vector's abundance that is shared."""
-    xv, sv = _pair(x, s)
-    sx, ss = float(xv.sum()), float(sv.sum())
-    if sx == 0.0 and ss == 0.0:
-        return 0.0
-    if sx == 0.0 or ss == 0.0:
-        return 1.0  # nothing can be shared with an all-zero vector
-    m = float(np.minimum(xv, sv).sum())
-    return _clip01(1.0 - 0.5 * (m / sx + m / ss))
+    return float(_outcomes(x, s)[2])
 
 
 def all_dissims(x, s) -> list[MetricOutcome]:
     """The three metric outcomes in canonical order."""
-    return [
-        MetricOutcome(Metric.JACCARD, jaccard_dissim(x, s)),
-        MetricOutcome(Metric.SORENSEN, sorensen_dissim(x, s)),
-        MetricOutcome(Metric.KULCZYNSKI, kulczynski_dissim(x, s)),
-    ]
+    return [MetricOutcome(m, v) for m, v in zip(METRICS, _outcomes(x, s).tolist())]
 
 
 def compute_weights(outcomes, theta: float, k: float = DEFAULT_OUTLIER_K) -> WeightVector:
@@ -110,24 +94,14 @@ def compute_weights(outcomes, theta: float, k: float = DEFAULT_OUTLIER_K) -> Wei
     by more than ``k`` population standard deviations. Outliers get the
     small weight ``theta``; the rest share the remainder equally. With all
     outcomes equal (or, degenerately, all flagged) weights are uniform.
+    This is the one-row case of ``_pool_rows``, the rule the router applies.
     """
     o = np.asarray(outcomes, dtype=np.float64)
-    n = o.size
-    if n < 2:
+    if o.size < 2:
         raise ConfigError("need at least two metric outcomes")
-    if not 0.0 < theta < 1.0 / n:
-        raise ConfigError(f"theta must lie in (0, 1/{n})")
-    if k <= 0.0:
-        raise ConfigError("outlier factor k must be positive")
-    d = float(o.std())
-    if d == 0.0:
-        return WeightVector(np.full(n, 1.0 / n), theta)
-    outlier = np.abs(o - o.mean()) > k * d
-    n_out = int(outlier.sum())
-    if n_out == 0 or n_out == n:
-        return WeightVector(np.full(n, 1.0 / n), theta)
-    w = np.where(outlier, theta, (1.0 - n_out * theta) / (n - n_out))
-    return WeightVector(w, theta)
+    _check_weight_params(theta, k, o.size)
+    w, _ = _pool_rows(o.reshape(1, -1), theta, k)
+    return WeightVector(w[0], theta)
 
 
 def opinion_pool(outcomes, weights: WeightVector) -> float:
@@ -139,7 +113,14 @@ def opinion_pool(outcomes, weights: WeightVector) -> float:
 
 
 def _dissim_rows(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Metric outcomes for ``x`` against every centroid row; shape (rows, 3)."""
+    """Metric outcomes for ``x`` against every centroid row; shape (rows, 3).
+
+    With ``a`` the summed absolute difference, ``t`` the total abundance and
+    ``m`` the summed shared minimum: J = 2a / (t + a), S = a / t and
+    K = 1 - (m / sum(x) + m / sum(c)) / 2. Two all-zero vectors count as
+    identical (0), one all-zero vector against any other as disjoint (1).
+    Round-off outside [0, 1] is clipped.
+    """
     sx = float(x.sum())
     sc = centroids.sum(axis=1)
     absdiff = np.abs(centroids - x).sum(axis=1)
@@ -159,7 +140,12 @@ def _dissim_rows(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _pool_rows(dissims: np.ndarray, theta: float, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise weights and pooled dissimilarity; mirrors compute_weights."""
+    """Outlier-aware weights for every row of outcomes, and each row's pooled value.
+
+    Per row, outcomes more than ``k`` population stds from the row mean get
+    ``theta`` and the rest share the remainder equally; a row whose outcomes
+    are all equal, or all flagged, gets uniform weights.
+    """
     n = dissims.shape[1]
     m = dissims.mean(axis=1, keepdims=True)
     d = dissims.std(axis=1, keepdims=True)
@@ -220,10 +206,7 @@ def score_segments(
     segment's similarity is the best of its rows. ``offsets`` must start at 0,
     end at the row count, and describe non-empty segments.
     """
-    if not 0.0 < theta < 1.0 / len(METRICS):
-        raise ConfigError(f"theta must lie in (0, 1/{len(METRICS)})")
-    if k <= 0.0:
-        raise ConfigError("outlier factor k must be positive")
+    _check_weight_params(theta, k)
     if (centroids < 0).any():
         raise VectorError("domain error: negative synopsis centroid")
 

@@ -94,6 +94,14 @@ class CFEntry:
     seq: int = -1  # creation ordinal for leaf entries; ties in dominance sort
 
 
+def _sum_cfs(entries: list[CFEntry]) -> ClusterFeature:
+    """Sum of the entries' CFs, merged in list order into a copy of the first."""
+    cf = entries[0].cf.copy()
+    for e in entries[1:]:
+        cf = cf.merge(e.cf)
+    return cf
+
+
 @dataclass
 class CFNode:
     is_leaf: bool
@@ -216,10 +224,7 @@ class CFTree:
 
     @staticmethod
     def _group_entry(group: list[CFEntry], is_leaf: bool) -> CFEntry:
-        cf = group[0].cf.copy()
-        for e in group[1:]:
-            cf = cf.merge(e.cf)
-        return CFEntry(cf, child=CFNode(is_leaf=is_leaf, entries=group))
+        return CFEntry(_sum_cfs(group), child=CFNode(is_leaf=is_leaf, entries=group))
 
     # -- read side ---------------------------------------------------------
 
@@ -231,10 +236,7 @@ class CFTree:
         """Aggregate CF of the whole tree."""
         if not self.root.entries:
             raise EmptyClusterError("empty tree has no aggregate CF")
-        cf = self.root.entries[0].cf.copy()
-        for e in self.root.entries[1:]:
-            cf = cf.merge(e.cf)
-        return cf
+        return _sum_cfs(self.root.entries)
 
     def height(self) -> int:
         h, node = 1, self.root
@@ -257,9 +259,7 @@ class CFTree:
                     if e.cf.count >= 2 and e.cf.radius() > self.threshold + 1e-9:
                         issues.append(f"{path}[{i}]: radius {e.cf.radius():.6g} > T")
                     continue
-                agg = e.child.entries[0].cf.copy()
-                for ce in e.child.entries[1:]:
-                    agg = agg.merge(ce.cf)
+                agg = _sum_cfs(e.child.entries)
                 if agg.count != e.cf.count:
                     issues.append(f"{path}[{i}]: count {e.cf.count} != child sum {agg.count}")
                 for name, a, b in (

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from synalloc.cli import DATASET_ENV, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from synalloc import harness
+from synalloc.cli import DATASET_ENV, EXIT_CONFIG, EXIT_DATA, EXIT_INVARIANT, EXIT_OK, main
 
 FAST = [
     "--vectors", "200",
@@ -110,6 +111,17 @@ class TestValidate:
             assert f"{check}: PASS" in out
         assert "FAIL" not in out
 
+    def test_moment_disagreement_fails(self, monkeypatch, capsys):
+        real = harness.partition_stats
+        monkeypatch.setattr(harness, "partition_stats",
+                            lambda v: tuple(m + 1.0 for m in real(v)))
+        code = run_cli("validate", *FAST, "--seed", "2")
+        assert code == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert "moment_agreement: FAIL" in captured.out
+        assert "tree moments disagree with raw statistics" in captured.err
+        assert run_cli("run", *FAST) == EXIT_INVARIANT
+
 
 class TestStats:
     def test_prints_dimension_summary(self, fixtures_dir, capsys):
@@ -136,6 +148,7 @@ class TestExitCodes:
 
     def test_bad_engine_parameters_are_config_errors(self, capsys):
         assert run_cli("run", "--theta", "0.9", *FAST) == EXIT_CONFIG
+        assert run_cli("run", "--outlier-k", "nan", *FAST) == EXIT_CONFIG
 
     def test_missing_dataset_is_data_error(self, capsys):
         assert run_cli("run", "--dataset", "/does/not/exist.csv", *FAST) == EXIT_DATA

@@ -96,6 +96,7 @@ class TestEngineConfig:
             {"theta": 0.0},
             {"theta": 1.0 / 3.0},
             {"outlier_k": 0.0},
+            {"outlier_k": float("nan")},
             {"refresh_interval": 0},
         ],
     )

@@ -20,6 +20,7 @@ from synalloc import (
 from synalloc.similarity import METRICS, WeightVector
 
 from conftest import make_synopsis
+from test_engine import naive_metrics, naive_pool
 
 ALL_METRICS = [jaccard_dissim, sorensen_dissim, kulczynski_dissim]
 
@@ -91,6 +92,30 @@ class TestMetrics:
         assert [o.dissimilarity for o in outs] == pytest.approx([2 / 3, 0.5, 0.5])
 
 
+def _vector_or_zero(d):
+    return st.one_of(
+        st.just(np.zeros(d)),
+        hnp.arrays(np.float64, d, elements=st.floats(0, 1e6, allow_nan=False)),
+    )
+
+
+class TestPublicApiMatchesOracle:
+    """The public scalar functions against the loop-based oracle of test_engine."""
+
+    @given(
+        pair=st.integers(1, 8).flatmap(lambda d: st.tuples(_vector_or_zero(d), _vector_or_zero(d))),
+        theta=st.floats(0.01, 0.3),
+        k=st.floats(0.5, 1.4),  # below sqrt(2), so that three outcomes can flag one
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_metrics_and_pool(self, pair, theta, k):
+        x, s = pair
+        want = naive_metrics(x.tolist(), s.tolist())
+        assert [m(x, s) for m in ALL_METRICS] == pytest.approx(want, abs=1e-12)
+        pooled = opinion_pool(want, compute_weights(want, theta, k))
+        assert pooled == pytest.approx(naive_pool(want, theta, k), abs=1e-12)
+
+
 # ---------------------------------------------------------------- weights
 
 class TestWeights:
@@ -134,6 +159,8 @@ class TestWeights:
         with pytest.raises(ConfigError):
             compute_weights([0.1, 0.2], theta=0.1, k=0.0)
         with pytest.raises(ConfigError):
+            compute_weights([0.1, 0.2, 0.9], theta=0.1, k=float("nan"))
+        with pytest.raises(ConfigError):
             compute_weights([0.1], theta=0.1)
 
     @given(
@@ -156,16 +183,11 @@ class TestWeights:
 # ---------------------------------------------------------------- ensemble
 
 def naive_ensemble(x, centroids, theta=0.1, k=3.0):
-    """Plain-loop reimplementation used as an oracle for the vectorized path."""
-    best = None
-    x = np.asarray(x, dtype=np.float64)
-    for c in np.atleast_2d(centroids):
-        outs = [m(x, c) for m in ALL_METRICS]
-        wv = compute_weights(outs, theta=theta, k=k)
-        sim = 1.0 - opinion_pool(outs, wv)
-        if best is None or sim > best:
-            best = sim
-    return best
+    """Best similarity over the centroids under the loop-based oracle of test_engine."""
+    return max(
+        1.0 - naive_pool(naive_metrics(list(x), c), theta, k)
+        for c in np.atleast_2d(centroids).tolist()
+    )
 
 
 class TestEnsembleSimilarity:
@@ -226,6 +248,8 @@ class TestEnsembleSimilarity:
             ensemble_similarity([1.0, 2.0], syn, theta=0.5)
         with pytest.raises(ConfigError):
             ensemble_similarity([1.0, 2.0], syn, k=-1.0)
+        with pytest.raises(ConfigError):
+            ensemble_similarity([1.0, 2.0], syn, k=float("nan"))
 
     def test_rejects_empty_synopsis(self):
         syn = make_synopsis([[1.0, 2.0]])
