@@ -13,6 +13,11 @@ length:
 - one multi-centroid configuration (16 partitions, alpha 5, threshold 4.0,
   outlier k 1.35, refresh every 50 inserts), so that synopses hold many
   centroids and the outlier weighting fires, which the presets never do;
+- the same configuration without outlier k, refreshing on every insert
+  (seed 2), so that leaf entries cross alpha while the stream runs and
+  every crossing is published at once;
+- preset 2 at alpha 1 (seed 3), where every leaf entry is dominant from
+  the moment it is created;
 - ``validate --seed 9``.
 
 Every output file, stdout, stderr and the exit code must match byte for
@@ -43,6 +48,9 @@ def cases() -> list[tuple[str, list[str]]]:
         for seed in range(1, 6)
     ]
     out.append(("run-multi-centroid", ["run", "--scenario", "1", "--seed", "1", *MULTI_CENTROID, *outputs]))
+    out.append(("run-alpha-crossing", ["run", "--scenario", "1", "--seed", "2", "--partitions", "16", "--alpha", "5",
+                                       "--threshold", "4.0", "--refresh", "1", *outputs]))
+    out.append(("run-alpha1", ["run", "--scenario", "2", "--seed", "3", "--alpha", "1", *outputs]))
     out.append(("validate-seed9", ["validate", "--seed", "9"]))
     return out
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,8 +45,10 @@ class ScenarioSpec:
     seed: int
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ConfigError("sigma must be positive")
+        if not math.isfinite(self.mu):
+            raise ConfigError("mu must be finite")
+        if not 0 < self.sigma < math.inf:  # NaN fails both comparisons
+            raise ConfigError("sigma must be positive and finite")
         if self.count < 0:
             raise ConfigError("count must be >= 0")
 

@@ -140,6 +140,10 @@ class CFTree:
         self.root = CFNode(is_leaf=True)
         self.total_points = 0
         self._leaf_entries: list[CFEntry] = []  # creation order, never removed
+        # Leaf entries with count >= _dominant_alpha, in no particular order.
+        # Counts only grow, so each entry joins once, when it reaches alpha.
+        self._dominant: list[CFEntry] = []
+        self._dominant_alpha: int | None = None  # None: not tracked yet
 
     # -- insertion ---------------------------------------------------------
 
@@ -150,6 +154,8 @@ class CFTree:
         if split is not None:
             self.root = CFNode(is_leaf=False, entries=list(split))
         self.total_points += 1
+        if entry.cf.count == self._dominant_alpha:
+            self._dominant.append(entry)
         return entry, created
 
     def _insert(self, node: CFNode, x: np.ndarray):
@@ -181,7 +187,8 @@ class CFTree:
         return None, e, True
 
     def _new_entry(self, x: np.ndarray) -> CFEntry:
-        e = CFEntry(ClusterFeature.from_point(x), seq=len(self._leaf_entries))
+        # x was validated by insert; from_point would validate it again.
+        e = CFEntry(ClusterFeature(1, x.copy(), x * x), seq=len(self._leaf_entries))
         self._leaf_entries.append(e)
         return e
 
@@ -232,6 +239,20 @@ class CFTree:
         """Live leaf entries in creation order."""
         return list(self._leaf_entries)
 
+    def dominant_entries(self, alpha: int) -> list[CFEntry]:
+        """Leaf entries with count >= ``alpha``, in no particular order.
+
+        The first call for an ``alpha`` (or the first after a call with a
+        different one) scans every leaf; later calls cost O(dominant),
+        because ``insert`` keeps the set current from then on.
+        """
+        if alpha < 1:
+            raise ConfigError("alpha must be >= 1")
+        if alpha != self._dominant_alpha:
+            self._dominant = [e for e in self._leaf_entries if e.cf.count >= alpha]
+            self._dominant_alpha = alpha
+        return list(self._dominant)
+
     def root_cf(self) -> ClusterFeature:
         """Aggregate CF of the whole tree."""
         if not self.root.entries:
@@ -276,6 +297,13 @@ class CFTree:
             issues.append(f"mass {mass} != inserted {self.total_points}")
         if set(map(id, seen)) != set(map(id, self._leaf_entries)):
             issues.append("leaf registry out of sync with tree")
+        if self._dominant_alpha is not None:
+            want = {id(e) for e in seen if e.cf.count >= self._dominant_alpha}
+            have = [id(e) for e in self._dominant]
+            if len(have) != len(want) or set(have) != want:  # missing, extra or duplicated
+                issues.append(
+                    f"dominant registry out of sync with leaf counts at alpha {self._dominant_alpha}"
+                )
         return issues
 
 
@@ -287,12 +315,17 @@ def extract_synopsis(
     Entries below alpha are treated as outliers and dropped. Order is
     descending count, ties by creation order. When nothing reaches alpha
     the root aggregate CF stands in, so a synopsis is never empty.
+
+    Cost: the tree tracks the entries at or above the last alpha asked for
+    (``CFTree.dominant_entries``), so a call with the same alpha as the last
+    one costs O(dominant log dominant), not O(leaves); the first call for an
+    alpha scans every leaf once.
     """
     if alpha < 1:
         raise ConfigError("alpha must be >= 1")
     if tree.total_points == 0:
         raise EmptyClusterError("cannot extract a synopsis from an empty tree")
-    dom = [e for e in tree.leaf_entries() if e.cf.count >= alpha]
+    dom = tree.dominant_entries(alpha)
     dom.sort(key=lambda e: (-e.cf.count, e.seq))
     cfs = [e.cf.copy() for e in dom] if dom else [tree.root_cf()]
     centroids = np.array([cf.centroid() for cf in cfs])

@@ -150,6 +150,15 @@ class TestExitCodes:
         assert run_cli("run", "--theta", "0.9", *FAST) == EXIT_CONFIG
         assert run_cli("run", "--outlier-k", "nan", *FAST) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("mu, sigma, name", [
+        ("inf", "1", "mu"), ("nan", "1", "mu"), ("25", "inf", "sigma"),
+    ])
+    def test_non_finite_custom_scenario_names_the_flag(self, mu, sigma, name, capsys):
+        code = run_cli("run", "--scenario", "custom", "--mu", mu, "--sigma", sigma,
+                       "--vectors", "50")
+        assert code == EXIT_CONFIG
+        assert f"{name} must be" in capsys.readouterr().err
+
     def test_missing_dataset_is_data_error(self, capsys):
         assert run_cli("run", "--dataset", "/does/not/exist.csv", *FAST) == EXIT_DATA
         assert "error" in capsys.readouterr().err

@@ -71,6 +71,14 @@ class TestScenarioSpec:
         with pytest.raises(ConfigError):
             ScenarioSpec(mu=25.0, sigma=10.0, count=-1, seed=1)
 
+    @pytest.mark.parametrize("mu, sigma, name", [
+        (float("inf"), 1.0, "mu"), (float("-inf"), 1.0, "mu"), (float("nan"), 1.0, "mu"),
+        (25.0, float("inf"), "sigma"), (25.0, float("nan"), "sigma"),
+    ])
+    def test_non_finite_parameters_are_named(self, mu, sigma, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            ScenarioSpec(mu=mu, sigma=sigma, count=10, seed=1)
+
     def test_zero_count_allowed(self):
         spec = ScenarioSpec(mu=25.0, sigma=10.0, count=0, seed=1)
         assert synth_stream(spec, dim=5).shape == (0, 5)

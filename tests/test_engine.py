@@ -296,6 +296,20 @@ class TestAudit:
         assert not report.checks["mass_conservation"] or not report.checks["cf_consistency"]
         assert report.issues
 
+    @pytest.mark.parametrize("fault", ["count_raised_across_alpha", "duplicate"])
+    def test_detects_dominant_registry_fault(self, rng, fault):
+        eng = self._run_engine(rng, threshold=4.0)  # wide leaves: some reach alpha
+        tree = eng.partitions[0].tree
+        assert tree.consistency_issues() == []
+        if fault == "duplicate":
+            tree._dominant.append(tree._dominant[0])
+        else:
+            below = next(e for e in tree.leaf_entries() if e.cf.count < eng.config.alpha)
+            below.cf.count = eng.config.alpha
+        report = eng.audit()
+        assert not report.checks["cf_consistency"]
+        assert any("dominant registry out of sync" in i for i in report.issues)
+
     def test_detects_corrupted_synopsis_centroid(self, rng):
         eng = self._run_engine(rng)
         eng.partitions[1].current_synopsis.centroids[0] += 99.0

@@ -24,6 +24,20 @@ def brute_radius(points):
     return float(np.sqrt(((pts - c) ** 2).sum(axis=1).mean()))
 
 
+def walked_leaves(node: CFNode) -> list[CFEntry]:
+    """Leaf entries reached by walking the tree, independently of its registries."""
+    if node.is_leaf:
+        return list(node.entries)
+    return [leaf for e in node.entries for leaf in walked_leaves(e.child)]
+
+
+def naive_synopsis(tree: CFTree, alpha: int) -> list[ClusterFeature]:
+    """Reference extraction: scan every leaf, keep count >= alpha, sort, root fallback."""
+    dom = [e for e in walked_leaves(tree.root) if e.cf.count >= alpha]
+    dom.sort(key=lambda e: (-e.cf.count, e.seq))
+    return [e.cf for e in dom] if dom else [tree.root_cf()]
+
+
 def cf_of(points) -> ClusterFeature:
     cf = ClusterFeature.from_point(np.asarray(points[0], dtype=np.float64))
     for p in points[1:]:
@@ -168,17 +182,7 @@ class TestCFTree:
         for row in rng.uniform(0.0, 12.0, size=(300, 3)):
             tree.insert(row)
 
-        collected = []
-
-        def walk(node: CFNode):
-            if node.is_leaf:
-                collected.extend(node.entries)
-            else:
-                for e in node.entries:
-                    walk(e.child)
-
-        walk(tree.root)
-        assert sorted(id(e) for e in collected) == sorted(
+        assert sorted(id(e) for e in walked_leaves(tree.root)) == sorted(
             id(e) for e in tree.leaf_entries()
         )
 
@@ -282,3 +286,89 @@ class TestExtractSynopsis:
         tree = self._tree_with_clusters([10])
         with pytest.raises(ConfigError):
             extract_synopsis(tree, alpha=0, partition_id=1, version=1)
+        with pytest.raises(ConfigError):
+            tree.dominant_entries(0)  # at 0, new entries (count 1) would never join
+
+    @given(
+        st.lists(
+            hnp.arrays(np.float64, 2, elements=st.floats(0, 20, allow_nan=False)),
+            min_size=1,
+            max_size=150,
+        ),
+        st.floats(0.1, 10.0),
+        st.integers(2, 8),
+        st.lists(st.integers(1, 10), min_size=1, max_size=4),
+        st.integers(1, 7),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_scan_reference(self, pts, threshold, branching, alphas, every):
+        # The stream runs through len(alphas) phases, one alpha each, and
+        # extracts every `every` inserts and after the last one.
+        tree = CFTree(dimension=2, threshold=threshold, branching_factor=branching)
+        for i, row in enumerate(pts):
+            tree.insert(row)
+            if i % every and i != len(pts) - 1:
+                continue
+            alpha = alphas[i * len(alphas) // len(pts)]
+            syn = extract_synopsis(tree, alpha, partition_id=1, version=i)
+            want = naive_synopsis(tree, alpha)
+            assert len(syn.dominant) == len(want)
+            for got, ref in zip(syn.dominant, want):
+                assert got.count == ref.count
+                assert got.linear_sum.tobytes() == ref.linear_sum.tobytes()
+                assert got.square_sum.tobytes() == ref.square_sum.tobytes()
+            assert syn.centroids.tobytes() == np.array([cf.centroid() for cf in want]).tobytes()
+        assert tree.consistency_issues() == []
+
+
+class TestDominantRegistry:
+    ALPHA = 5
+
+    @staticmethod
+    def _points(rng, n):
+        """Points in 25 tight clumps on a grid, each clump well inside threshold 1."""
+        return rng.integers(0, 5, size=(n, 2)) * 10.0 + rng.uniform(0.0, 0.5, size=(n, 2))
+
+    def _tracked_tree(self, rng):
+        """Tracking starts at 100 points; the next 100 push more clumps past alpha."""
+        tree = CFTree(dimension=2, threshold=1.0, branching_factor=4)
+        for row in self._points(rng, 100):
+            tree.insert(row)
+        self.tracked_at_start = len(extract_synopsis(tree, self.ALPHA, 1, 1).dominant)
+        for row in self._points(rng, 100):
+            tree.insert(row)
+        return tree
+
+    def _registry_issues(self, tree):
+        return [i for i in tree.consistency_issues() if i.startswith("dominant registry")]
+
+    def test_tracks_entries_crossing_alpha(self, rng):
+        tree = self._tracked_tree(rng)
+        assert tree.consistency_issues() == []
+        dominant = tree.dominant_entries(self.ALPHA)
+        assert self.tracked_at_start < len(dominant) < len(tree.leaf_entries())
+
+    def test_alpha_one_counts_new_entries(self):
+        tree = CFTree(dimension=1, threshold=0.1)
+        tree.insert(np.array([0.0]))
+        extract_synopsis(tree, 1, partition_id=1, version=1)
+        for v in (10.0, 20.0, 0.0):
+            tree.insert(np.array([v]))
+        assert sorted(e.seq for e in tree.dominant_entries(1)) == [0, 1, 2]
+        assert tree.consistency_issues() == []
+
+    def test_detects_count_raised_across_alpha(self, rng):
+        tree = self._tracked_tree(rng)
+        below = next(e for e in tree.leaf_entries() if e.cf.count < self.ALPHA)
+        below.cf.count = self.ALPHA
+        assert self._registry_issues(tree)
+
+    def test_detects_duplicate_entry(self, rng):
+        tree = self._tracked_tree(rng)
+        tree._dominant.append(tree._dominant[0])
+        assert self._registry_issues(tree)
+
+    def test_detects_extra_entry(self, rng):
+        tree = self._tracked_tree(rng)
+        tree._dominant.append(next(e for e in tree.leaf_entries() if e.cf.count < self.ALPHA))
+        assert self._registry_issues(tree)
