@@ -18,7 +18,10 @@ length:
   every crossing is published at once;
 - preset 2 at alpha 1 (seed 3), where every leaf entry is dominant from
   the moment it is created;
-- ``validate --seed 9``.
+- preset 2 refreshing every 3 inserts (seed 4), so that the message count
+  in the JSON report comes from a batched refresh schedule;
+- ``validate --seed 9``, once as is and once refreshing every 7 inserts;
+- the ``--help`` text of ``run``, ``validate`` and ``stats``.
 
 Every output file, stdout, stderr and the exit code must match byte for
 byte. The exit code is 1 when anything differs, 0 otherwise.
@@ -51,7 +54,10 @@ def cases() -> list[tuple[str, list[str]]]:
     out.append(("run-alpha-crossing", ["run", "--scenario", "1", "--seed", "2", "--partitions", "16", "--alpha", "5",
                                        "--threshold", "4.0", "--refresh", "1", *outputs]))
     out.append(("run-alpha1", ["run", "--scenario", "2", "--seed", "3", "--alpha", "1", *outputs]))
+    out.append(("run-s2-seed4-refresh3", ["run", "--scenario", "2", "--seed", "4", "--refresh", "3", *outputs]))
     out.append(("validate-seed9", ["validate", "--seed", "9"]))
+    out.append(("validate-seed9-refresh7", ["validate", "--seed", "9", "--refresh", "7"]))
+    out.extend((f"help-{command}", [command, "--help"]) for command in ("run", "validate", "stats"))
     return out
 
 

@@ -217,10 +217,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    path = args.dataset or os.environ.get(DATASET_ENV)
-    if path is None:
+    ds = _resolve_dataset(args)
+    if ds is None:
         raise ConfigError(f"stats needs --dataset or ${DATASET_ENV}")
-    ds = load_air_quality(path, strict=args.strict)
     print(f"{ds.source}: {ds.n_rows} rows x {ds.dimension} dimensions")
     header = f"{'dimension':<10} {'mean':>10} {'std':>10} {'min':>10} {'max':>10}"
     print(header)

@@ -78,7 +78,10 @@ def load_air_quality(path, strict: bool = False) -> Dataset:
     delim = ";" if ";" in lines[0] else ","
     decimal_comma = delim == ";"
     reader = csv.reader(lines, delimiter=delim)
-    header = next(reader)
+    try:
+        header, *records = reader
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise DatasetFormatError(f"{path}:{reader.line_num}: {exc}") from exc
     col_index: dict[str, int] = {}
     for i, name in enumerate(header):
         col_index.setdefault(_canon(name), i)
@@ -89,7 +92,7 @@ def load_air_quality(path, strict: bool = False) -> Dataset:
     picks = [col_index[key] for key in wanted]
 
     rows: list[list[float]] = []
-    for lineno, rec in enumerate(reader, start=2):
+    for lineno, rec in enumerate(records, start=2):
         if not any(field.strip() for field in rec):
             continue  # the published file ends with blank lines
         try:

@@ -5,8 +5,8 @@ Allocation reads only the synopses (never raw data or live trees): their
 centroids are stacked into one matrix, rebuilt whenever a synopsis is
 published, and every partition is scored in one pass over it. The chosen
 partition then absorbs the vector and, every ``refresh_interval`` inserts,
-re-extracts and "disseminates" its synopsis (counted, not transmitted; all
-peers live in-process).
+re-extracts and "disseminates" its synopsis under the next version (not
+transmitted; all peers live in-process), so the versions count the messages.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .validation import as_vector
 THRESHOLD_STD_FACTOR = 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
     n_partitions: int = 5
     dimension: int = 5
@@ -64,10 +64,8 @@ class EngineConfig:
 
 @dataclass
 class PartitionState:
-    partition_id: int  # 1-based
     tree: CFTree
     current_synopsis: Synopsis
-    inserts_since_refresh: int = 0
     initial_count: int = 0
 
 
@@ -125,7 +123,6 @@ class AllocationEngine:
             )
         self.config = config
         self.partitions: list[PartitionState] = []
-        self.messages_disseminated = 0
         self.rejected = 0
         self._t = 0
         for i, pts in enumerate(initial_points, start=1):
@@ -142,9 +139,7 @@ class AllocationEngine:
             for row in pts:
                 tree.insert(row)
             syn = extract_synopsis(tree, config.alpha, i, version=1)
-            self.partitions.append(
-                PartitionState(i, tree, syn, initial_count=pts.shape[0])
-            )
+            self.partitions.append(PartitionState(tree, syn, initial_count=pts.shape[0]))
         self._stack_synopses()
 
     def _stack_synopses(self) -> None:
@@ -156,6 +151,11 @@ class AllocationEngine:
     @property
     def synopses(self) -> list[Synopsis]:
         return [p.current_synopsis for p in self.partitions]
+
+    @property
+    def messages_disseminated(self) -> int:
+        """Synopses published since construction: every refresh bumps one version."""
+        return sum(s.version - 1 for s in self.synopses)
 
     def total_points(self) -> int:
         return sum(p.tree.total_points for p in self.partitions)
@@ -195,14 +195,10 @@ class AllocationEngine:
         chosen, scores = self._route(v)
         p = self.partitions[chosen - 1]
         p.tree.insert(v)
-        p.inserts_since_refresh += 1
-        if p.inserts_since_refresh >= self.config.refresh_interval:
+        if (p.tree.total_points - p.initial_count) % self.config.refresh_interval == 0:
             p.current_synopsis = extract_synopsis(
-                p.tree, self.config.alpha, p.partition_id,
-                p.current_synopsis.version + 1,
+                p.tree, self.config.alpha, chosen, p.current_synopsis.version + 1
             )
-            p.inserts_since_refresh = 0
-            self.messages_disseminated += 1
             self._stack_synopses()
         rec = AllocationRecord(self._t, v, chosen, scores.similarities)
         self._t += 1
@@ -217,40 +213,42 @@ class AllocationEngine:
     def audit(self) -> AuditReport:
         """Report-only pass over the module invariants."""
         issues: list[str] = []
+        cfg = self.config
+        numbered = list(enumerate(self.partitions, start=1))
 
         mass_ok = True
-        expected = {p.partition_id: p.initial_count for p in self.partitions}
-        for p in self.partitions:
+        for pid, p in numbered:
             registry_mass = sum(e.cf.count for e in p.tree.leaf_entries())
             if registry_mass != p.tree.total_points:
                 mass_ok = False
                 issues.append(
-                    f"partition {p.partition_id}: leaf mass {registry_mass} "
+                    f"partition {pid}: leaf mass {registry_mass} "
                     f"!= inserted {p.tree.total_points}"
                 )
-        if self.total_points() != sum(expected.values()) + self._t:
+        if self.total_points() != sum(p.initial_count for p in self.partitions) + self._t:
             mass_ok = False
             issues.append("total tree mass != initial + accepted ingests")
 
         cf_ok = True
-        for p in self.partitions:
+        for pid, p in numbered:
             for issue in p.tree.consistency_issues():
                 cf_ok = False
-                issues.append(f"partition {p.partition_id}: {issue}")
+                issues.append(f"partition {pid}: {issue}")
 
         alpha_ok = True
-        for p in self.partitions:
+        for pid, p in numbered:
             syn = p.current_synopsis
-            below = [cf for cf in syn.dominant if cf.count < self.config.alpha]
+            below = [cf for cf in syn.dominant if cf.count < cfg.alpha]
             if below and len(syn.dominant) != 1:
                 alpha_ok = False
-                issues.append(f"partition {p.partition_id}: sub-alpha CF in synopsis")
+                issues.append(f"partition {pid}: sub-alpha CF in synopsis")
             for cf, cent in zip(syn.dominant, syn.centroids):
                 if not np.allclose(cent, cf.centroid(), rtol=1e-12, atol=1e-12):
                     alpha_ok = False
-                    issues.append(
-                        f"partition {p.partition_id}: stored centroid drifted"
-                    )
+                    issues.append(f"partition {pid}: stored centroid drifted")
+            if (syn.centroids < 0).any():  # the router scores centroids unchecked
+                alpha_ok = False
+                issues.append(f"partition {pid}: negative published centroid")
         centroids, offsets = stack_centroids(self.synopses)
         if not (
             np.array_equal(self._centroids, centroids)
@@ -260,18 +258,33 @@ class AllocationEngine:
             issues.append("routing matrix differs from the published centroids")
 
         weights_ok = True
+        scored = []  # (probe label, partition id of each row, weights per row, similarity per row)
         probe = self.partitions[0].current_synopsis.centroids[0]
-        for p in self.partitions:
-            score = ensemble_similarity(
-                probe, p.current_synopsis, self.config.theta, self.config.outlier_k
-            )
-            w = score.weights.weights
-            if (w < 0).any() or (w > 1).any() or abs(w.sum() - 1.0) > 1e-12:
+        for pid, p in numbered:  # the public scorer: each partition's best row
+            try:
+                score = ensemble_similarity(probe, p.current_synopsis, cfg.theta, cfg.outlier_k)
+            except VectorError as exc:  # a negative centroid, reported above
                 weights_ok = False
-                issues.append(f"partition {p.partition_id}: non-convex weights")
-            if not 0.0 <= score.similarity <= 1.0:
-                weights_ok = False
-                issues.append(f"partition {p.partition_id}: similarity out of range")
+                issues.append(f"partition {pid}: {exc}")
+                continue
+            scored.append(("", np.array([pid]), score.weights.weights[None, :], np.array([score.similarity])))
+        # The router's kernel: every row against each first centroid and the zero vector.
+        probes = [(f" for partition {pid}'s first centroid", p.current_synopsis.centroids[0])
+                  for pid, p in numbered] + [(" for the zero vector", np.zeros(cfg.dimension))]
+        row_pid = np.repeat(np.arange(1, len(offsets)), np.diff(offsets))
+        for name, x in probes:
+            rows = score_segments(x, centroids, offsets, cfg.theta, cfg.outlier_k)
+            scored.append((name, row_pid, rows.weights, 1.0 - rows.pooled))
+        for name, pids, w, sims in scored:
+            faults = {
+                "non-convex weights": (w < 0).any(axis=1) | (w > 1).any(axis=1)
+                | (np.abs(w.sum(axis=1) - 1.0) > 1e-12),
+                "similarity out of range": ~((sims >= 0.0) & (sims <= 1.0)),
+            }
+            for fault, rows_hit in faults.items():
+                for pid in dict.fromkeys(pids[rows_hit].tolist()):  # once per partition
+                    weights_ok = False
+                    issues.append(f"partition {pid}: {fault}{name}")
 
         return AuditReport(
             checks={

@@ -6,7 +6,7 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -48,20 +48,9 @@ class PartitionReport:
     synthetic_std: np.ndarray | None
 
     def to_dict(self) -> dict:
-        return {
-            "partition_id": self.partition_id,
-            "count": self.count,
-            "mean": [float(v) for v in self.mean],
-            "std": [float(v) for v in self.std],
-            "initial_count": self.initial_count,
-            "synthetic_count": self.synthetic_count,
-            "synthetic_mean": None
-            if self.synthetic_mean is None
-            else [float(v) for v in self.synthetic_mean],
-            "synthetic_std": None
-            if self.synthetic_std is None
-            else [float(v) for v in self.synthetic_std],
-        }
+        """Every field in declaration order, arrays as lists of floats."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values}
 
 
 @dataclass
@@ -228,16 +217,7 @@ class SummaryRow:
     std_max: float
 
 
-SUMMARY_COLUMNS = [
-    "scenario",
-    "gen_mu",
-    "gen_sigma",
-    "majority_count",
-    "mean_min",
-    "mean_max",
-    "std_min",
-    "std_max",
-]
+SUMMARY_COLUMNS = [f.name for f in fields(SummaryRow)]
 
 
 def summary_table(reports: Sequence[RunReport]) -> list[SummaryRow]:

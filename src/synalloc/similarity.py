@@ -204,12 +204,9 @@ def score_segments(
 
     Every row is scored by the three metrics, weighted, and pooled; each
     segment's similarity is the best of its rows. ``offsets`` must start at 0,
-    end at the row count, and describe non-empty segments.
+    end at the row count, and describe non-empty segments. Nothing is checked:
+    theta/k and the centroid signs are the caller's to check, once.
     """
-    _check_weight_params(theta, k)
-    if (centroids < 0).any():
-        raise VectorError("domain error: negative synopsis centroid")
-
     dissims = _dissim_rows(xv, centroids)
     w, pooled = _pool_rows(dissims, theta, k)
     best = np.maximum.reduceat(1.0 - pooled, offsets[:-1])
@@ -226,10 +223,14 @@ def ensemble_similarity(
 
     Every centroid is scored by the three metrics, weighted, and pooled; the
     centroid with the highest similarity wins (ties go to the first in the
-    dominant list). Inputs must be non-negative.
+    dominant list). Inputs must be non-negative; this is the entry point for
+    synopses built outside the engine, so it checks theta/k and the centroids.
     """
     if len(syn.dominant) == 0:
         raise ConfigError("synopsis has no dominant clusters")
     xv = as_vector(x, dim=syn.centroids.shape[1], nonneg=True)
+    _check_weight_params(theta, k)
+    if (syn.centroids < 0).any():
+        raise VectorError("domain error: negative synopsis centroid")
     offsets = np.array([0, syn.centroids.shape[0]])
     return score_segments(xv, syn.centroids, offsets, theta, k).ensemble_scores()[0]

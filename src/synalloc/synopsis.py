@@ -68,6 +68,18 @@ class ClusterFeature:
         r2 = self.square_sum.sum() / self.count - float(c @ c)
         return float(np.sqrt(max(0.0, r2)))
 
+    def radius2_with(self, x: np.ndarray) -> float:
+        """Squared radius this cluster would have after absorbing ``x``, without building it."""
+        n = self.count + 1
+        ls = self.linear_sum + x
+        return (self.square_sum.sum() + float(x @ x)) / n - float(ls @ ls) / (n * n)
+
+    @staticmethod
+    def centroids_of(cfs: list[ClusterFeature]) -> np.ndarray:
+        """Centroid of each non-empty CF, one row per CF."""
+        cnt = np.array([cf.count for cf in cfs], dtype=np.float64)
+        return np.array([cf.linear_sum for cf in cfs]) / cnt[:, None]
+
     def variance(self) -> np.ndarray:
         """Per-dimension population variance, clamped at 0 against round-off."""
         if self.count < 1:
@@ -150,13 +162,13 @@ class CFTree:
     def insert(self, x) -> tuple[CFEntry, bool]:
         """Route ``x`` to its leaf entry; returns (entry, newly_created)."""
         v = as_vector(x, self.dimension, nonneg=True)
-        split, entry, created = self._insert(self.root, v)
+        split, entry = self._insert(self.root, v)
         if split is not None:
             self.root = CFNode(is_leaf=False, entries=list(split))
         self.total_points += 1
         if entry.cf.count == self._dominant_alpha:
             self._dominant.append(entry)
-        return entry, created
+        return entry, entry.cf.count == 1  # new entries start at 1; an absorb leaves >= 2
 
     def _insert(self, node: CFNode, x: np.ndarray):
         if node.is_leaf:
@@ -164,27 +176,27 @@ class CFTree:
 
         i = self._nearest(node.entries, x)
         slot = node.entries[i]
-        split, entry, created = self._insert(slot.child, x)
+        split, entry = self._insert(slot.child, x)
         if split is None:
             slot.cf._absorb(x)
         else:
             node.entries[i : i + 1] = list(split)
             if len(node.entries) > self.branching_factor:
-                return self._split(node), entry, created
-        return None, entry, created
+                return self._split(node), entry
+        return None, entry
 
     def _insert_leaf(self, node: CFNode, x: np.ndarray):
         if node.entries:
             i = self._nearest(node.entries, x)
             e = node.entries[i]
-            if self._fits(e.cf, x):
+            if e.cf.radius2_with(x) <= self.threshold * self.threshold:
                 e.cf._absorb(x)
-                return None, e, False
+                return None, e
         e = self._new_entry(x)
         node.entries.append(e)
         if len(node.entries) > self.branching_factor:
-            return self._split(node), e, True
-        return None, e, True
+            return self._split(node), e
+        return None, e
 
     def _new_entry(self, x: np.ndarray) -> CFEntry:
         # x was validated by insert; from_point would validate it again.
@@ -192,24 +204,15 @@ class CFTree:
         self._leaf_entries.append(e)
         return e
 
-    def _fits(self, cf: ClusterFeature, x: np.ndarray) -> bool:
-        # Radius of the would-be merged cluster, without building it.
-        n = cf.count + 1
-        ls = cf.linear_sum + x
-        r2 = (cf.square_sum.sum() + float(x @ x)) / n - float(ls @ ls) / (n * n)
-        return r2 <= self.threshold * self.threshold
-
     @staticmethod
     def _nearest(entries: list[CFEntry], x: np.ndarray) -> int:
-        ls = np.array([e.cf.linear_sum for e in entries])
-        cnt = np.array([e.cf.count for e in entries], dtype=np.float64)
-        d2 = np.square(ls / cnt[:, None] - x).sum(axis=1)
+        d2 = np.square(ClusterFeature.centroids_of([e.cf for e in entries]) - x).sum(axis=1)
         return int(np.argmin(d2))  # argmin takes the first minimum: lowest index
 
     def _split(self, node: CFNode) -> tuple[CFEntry, CFEntry]:
         """Farthest-pair seeding: the two most distant centroids seed the halves."""
         ents = node.entries
-        cents = np.array([e.cf.linear_sum / e.cf.count for e in ents])
+        cents = ClusterFeature.centroids_of([e.cf for e in ents])
         diff = cents[:, None, :] - cents[None, :, :]
         d2 = np.square(diff).sum(axis=2)
         if d2.max() == 0.0:

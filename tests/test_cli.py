@@ -141,6 +141,17 @@ class TestStats:
         monkeypatch.delenv(DATASET_ENV, raising=False)
         assert run_cli("stats") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_field_over_the_csv_size_limit_is_a_data_error(self, tmp_path, capsys, where):
+        big = "9" * 200_000  # csv.field_size_limit() is 131072 by default
+        header = "CO_GT,NMHC_GT,C6H6_GT,NOX_GT,NO2_GT"
+        lines = [header + "," + big, "1,2,3,4,5,6"] if where == "header" else [header, "1,2,3,4," + big]
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("stats", "--dataset", str(path)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "field larger than field limit" in err
+
 
 class TestExitCodes:
     def test_unknown_flag_is_config_error(self, capsys):

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from synalloc import (
     ConfigError,
+    DataError,
     DatasetFormatError,
     EmptyDatasetError,
     ScenarioSpec,
@@ -17,6 +18,28 @@ from synalloc import (
     synthetic_partitions,
 )
 from synalloc.data import DIMENSION_COLUMNS
+
+
+# Random bytes almost never name the five columns, so most examples are a valid
+# header and rows of well-formed numbers, half of them with one cell replaced
+# by what the parser treats specially: separators, quotes, line breaks, signs,
+# the -200 sentinel and non-finite spellings.
+_GOOD_CELLS = [b"1", b"0", b"2.5", b"007"]
+_TOKENS = [b"2,5", b"-200", b"-1", b"nan", b"inf", b"1e400", b",", b";", b'"', b"\r", b"\x00",
+           b"\xff", b" ", b""]
+
+
+@st.composite
+def fuzz_csv(draw) -> bytes:
+    sep = draw(st.sampled_from([b",", b";"]))
+    lines = [sep.join(c.replace("_GT", "(GT)").encode() for c in DIMENSION_COLUMNS)]
+    for _ in range(draw(st.integers(1, 6))):
+        cells = draw(st.lists(st.sampled_from(_GOOD_CELLS), min_size=5, max_size=6))
+        if draw(st.booleans()):
+            junk = st.lists(st.sampled_from(_TOKENS + _GOOD_CELLS), max_size=3).map(b"".join)
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(junk)
+        lines.append(sep.join(cells))
+    return b"\n".join(lines)
 
 
 class TestLoadAirQuality:
@@ -62,6 +85,19 @@ class TestLoadAirQuality:
     def test_strict_mode_raises_on_bad_rows(self, fixtures_dir):
         with pytest.raises(DatasetFormatError):
             load_air_quality(fixtures_dir / "bad_rows.csv", strict=True)
+
+    @given(st.one_of(st.binary(max_size=200), fuzz_csv()), st.booleans())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_arbitrary_bytes_load_or_raise_a_data_error(self, tmp_path, data, strict):
+        path = tmp_path / "fuzz.csv"  # rewritten by every example
+        path.write_bytes(data)
+        try:
+            ds = load_air_quality(path, strict=strict)
+        except DataError:
+            return
+        assert ds.rows.ndim == 2 and ds.rows.shape[1] == len(DIMENSION_COLUMNS)
+        assert np.isfinite(ds.rows).all() and (ds.rows >= 0).all()
 
 
 class TestScenarioSpec:

@@ -1,5 +1,6 @@
 """Allocation engine: routing, ingestion, refresh policy, and audits."""
 
+import dataclasses
 import json
 import math
 
@@ -15,7 +16,9 @@ from synalloc import (
     EngineConfig,
     VectorError,
     ensemble_similarity,
+    extract_synopsis,
 )
+import synalloc.similarity
 
 from conftest import make_synopsis
 
@@ -103,6 +106,13 @@ class TestEngineConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             EngineConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [("theta", 0.9), ("outlier_k", -1.0), ("alpha", 0)])
+    def test_is_immutable_after_validation(self, field, value):
+        cfg = EngineConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+        assert getattr(cfg, field) == getattr(EngineConfig(), field)
 
 
 # ------------------------------------------------------- construction
@@ -235,13 +245,38 @@ class TestIngest:
         # refreshes after inserts 3 and 6; the 7th is still pending
         assert eng.messages_disseminated == 2
         assert eng.synopses[0].version == 3
-        assert eng.partitions[0].inserts_since_refresh == 1
+        p = eng.partitions[0]
+        assert (p.tree.total_points - p.initial_count) % eng.config.refresh_interval == 1
 
     def test_stale_synopsis_between_refreshes(self):
         eng = engine_around([[5.0, 5.0]], refresh_interval=5)
         before = eng.synopses[0].dominant[0].count
         eng.ingest([5.0, 5.0])
         assert eng.synopses[0].dominant[0].count == before  # not yet re-extracted
+
+    @given(st.integers(1, 7), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_refresh_schedule_follows_tree_counts(self, interval, n, seed):
+        # The engine keeps no refresh counter; check it against one kept here.
+        rng = np.random.default_rng(seed)
+        initial = [rng.uniform(0, 10, size=(int(rng.integers(1, 12)), 2)) + 8 * i for i in range(n)]
+        cfg = EngineConfig(n_partitions=n, dimension=2, alpha=3, refresh_interval=interval)
+        eng = AllocationEngine(cfg, initial)
+        taken = [0] * n
+        messages = 0
+        for x in rng.uniform(0, 8 * n, size=(40, 2)):
+            before = eng.synopses
+            chosen = eng.ingest(x).chosen
+            taken[chosen - 1] += 1
+            messages += taken[chosen - 1] % interval == 0
+            assert eng.messages_disseminated == messages
+            for pid, (p, old) in enumerate(zip(eng.partitions, before), start=1):
+                syn = p.current_synopsis
+                assert syn.version == 1 + taken[pid - 1] // interval
+                if taken[pid - 1] % interval == 0:
+                    assert_same_synopsis(syn, extract_synopsis(p.tree, cfg.alpha, pid, syn.version))
+                else:
+                    assert syn is old
 
     def test_json_record_line(self, rng):
         eng = engine_around([[2.0, 2.0], [20.0, 20.0], [40.0, 40.0]])
@@ -316,6 +351,43 @@ class TestAudit:
         report = eng.audit()
         assert not report.checks["synopsis_alpha_compliance"]
 
+    @pytest.mark.parametrize("fault", ["zero_probe", "second_partition_probe"])
+    def test_weight_probe_scores_every_row_for_every_probe(self, rng, fault, monkeypatch):
+        # Each fault shows only for a probe other than partition 1's first centroid.
+        eng = self._run_engine(rng)
+        if fault == "zero_probe":
+            real_pool = synalloc.similarity._pool_rows
+
+            def pool(dissims, theta, k):  # rows disjoint from the probe get weights summing to 2
+                w, pooled = real_pool(dissims, theta, k)
+                return np.where((dissims == 1.0).all(axis=1, keepdims=True), 2.0 * w, w), pooled
+
+            monkeypatch.setattr(synalloc.similarity, "_pool_rows", pool)
+            want = "non-convex weights"
+        else:
+            target = eng.synopses[1].centroids[0]
+            real_dissim = synalloc.similarity._dissim_rows
+
+            def dissim(x, centroids):  # outcomes below 0 for one probe only
+                d = real_dissim(x, centroids)
+                return d - 1.0 if np.array_equal(x, target) else d
+
+            monkeypatch.setattr(synalloc.similarity, "_dissim_rows", dissim)
+            want = "similarity out of range"
+        report = eng.audit()
+        assert not report.checks["weight_convexity"]
+        assert any(want in issue for issue in report.issues), report.issues
+        assert report.checks["mass_conservation"] and report.checks["synopsis_alpha_compliance"]
+
+    def test_reports_a_negative_published_centroid(self, rng):
+        # The router no longer checks centroid signs per call; the audit does.
+        eng = self._run_engine(rng)
+        install_synopses(eng, [[[1.0, 2.0, 3.0]], [[4.0, -1.0, 5.0]], [[6.0, 7.0, 8.0]]])
+        report = eng.audit()
+        assert not report.checks["synopsis_alpha_compliance"]
+        assert not report.checks["weight_convexity"]
+        assert "partition 2: negative published centroid" in report.issues
+
     @pytest.mark.parametrize("fault", ["matrix", "offsets", "skipped_rebuild"])
     def test_detects_stale_routing_matrix(self, rng, fault, monkeypatch):
         # Root-fallback synopses: every ingest moves the chosen partition's mean.
@@ -362,10 +434,18 @@ def first_best_row(x, centroids, theta, k):
     return best
 
 
+def assert_same_synopsis(got, want):
+    assert (got.partition_id, got.version) == (want.partition_id, want.version)
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert [(cf.count, cf.linear_sum.tobytes(), cf.square_sum.tobytes()) for cf in got.dominant] == [
+        (cf.count, cf.linear_sum.tobytes(), cf.square_sum.tobytes()) for cf in want.dominant
+    ]
+
+
 def install_synopses(eng, partitions):
     """Publish one synopsis per partition, centroids as given."""
     for p, rows in zip(eng.partitions, partitions):
-        p.current_synopsis = make_synopsis(rows, partition_id=p.partition_id)
+        p.current_synopsis = make_synopsis(rows, partition_id=p.current_synopsis.partition_id)
     eng._stack_synopses()
 
 
