@@ -13,6 +13,9 @@ length:
 - one multi-centroid configuration (16 partitions, alpha 5, threshold 4.0,
   outlier k 1.35, refresh every 50 inserts), so that synopses hold many
   centroids and the outlier weighting fires, which the presets never do;
+- the same configuration at outlier k 2.45 and 2.44, just above and just
+  below sqrt(6), the k from which the router skips the outlier rule for
+  three metrics, so that both paths score hundreds of rows per call;
 - the same configuration without outlier k, refreshing on every insert
   (seed 2), so that leaf entries cross alpha while the stream runs and
   every crossing is published at once;
@@ -38,8 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MULTI_CENTROID = ["--partitions", "16", "--alpha", "5", "--threshold", "4.0",
-                  "--outlier-k", "1.35", "--refresh", "50"]
+MULTI_CENTROID = ["--partitions", "16", "--alpha", "5", "--threshold", "4.0", "--refresh", "50"]
 
 
 def cases() -> list[tuple[str, list[str]]]:
@@ -50,7 +52,9 @@ def cases() -> list[tuple[str, list[str]]]:
         for scenario in (1, 2, 3)
         for seed in range(1, 6)
     ]
-    out.append(("run-multi-centroid", ["run", "--scenario", "1", "--seed", "1", *MULTI_CENTROID, *outputs]))
+    out.extend((f"run-multi-centroid{suffix}", ["run", "--scenario", "1", "--seed", "1", *MULTI_CENTROID,
+                                                "--outlier-k", k, *outputs])
+               for suffix, k in (("", "1.35"), ("-k2.45", "2.45"), ("-k2.44", "2.44")))
     out.append(("run-alpha-crossing", ["run", "--scenario", "1", "--seed", "2", "--partitions", "16", "--alpha", "5",
                                        "--threshold", "4.0", "--refresh", "1", *outputs]))
     out.append(("run-alpha1", ["run", "--scenario", "2", "--seed", "3", "--alpha", "1", *outputs]))

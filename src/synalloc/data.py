@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -68,20 +69,24 @@ def load_air_quality(path, strict: bool = False) -> Dataset:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8-sig", errors="replace")
+        # newline="": only \n, \r and \r\n end a line, and csv.reader sees
+        # them, so a quoted field may span lines.
+        fh = open(path, newline="", encoding="utf-8-sig", errors="replace")
     except OSError as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines:
-        raise DatasetFormatError(f"{path}: empty file")
-
-    delim = ";" if ";" in lines[0] else ","
+    with fh:
+        first = fh.readline()
+        if not first:
+            raise DatasetFormatError(f"{path}: empty file")
+        delim = ";" if ";" in first else ","
+        reader = csv.reader(itertools.chain([first], fh), delimiter=delim)
+        try:
+            header = next(reader)
+            # reader.line_num: the file line on which each record ends
+            records = [(reader.line_num, rec) for rec in reader]
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise DatasetFormatError(f"{path}:{reader.line_num}: {exc}") from exc
     decimal_comma = delim == ";"
-    reader = csv.reader(lines, delimiter=delim)
-    try:
-        header, *records = reader
-    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-        raise DatasetFormatError(f"{path}:{reader.line_num}: {exc}") from exc
     col_index: dict[str, int] = {}
     for i, name in enumerate(header):
         col_index.setdefault(_canon(name), i)
@@ -92,7 +97,7 @@ def load_air_quality(path, strict: bool = False) -> Dataset:
     picks = [col_index[key] for key in wanted]
 
     rows: list[list[float]] = []
-    for lineno, rec in enumerate(records, start=2):
+    for lineno, rec in records:
         if not any(field.strip() for field in rec):
             continue  # the published file ends with blank lines
         try:

@@ -147,6 +147,19 @@ def _pool_rows(dissims: np.ndarray, theta: float, k: float) -> tuple[np.ndarray,
     are all equal, or all flagged, gets uniform weights.
     """
     n = dissims.shape[1]
+    if k * k >= 2 * n:
+        # The rule cannot fire, so every row gets what an unflagged row gets:
+        # (1 - 0 * theta) / n == 1 / n. Each deviation's square is at most n
+        # times the computed variance, up to round-off. That round-off is
+        # relative for normal floats; for subnormal squares each is off by
+        # up to half a unit u. If the variance rounds to j >= 1 units, then
+        # z^2 < n(1 + 0.5/j) + 0.5/j <= 1.5n + 0.5 < 2n <= k^2. If it rounds
+        # to 0, the row is degenerate and uniform anyway. So the threshold is
+        # sqrt(2n), not the exact-arithmetic sqrt(n - 1): the row
+        # [9.999995841700118e-156, 1.0000002668839275e-155,
+        # 1.0000001489460608e-155] has a computed z of 1.8708.
+        w = np.full(dissims.shape, 1.0 / n)
+        return w, (dissims * w).sum(axis=1)
     m = dissims.mean(axis=1, keepdims=True)
     d = dissims.std(axis=1, keepdims=True)
     outlier = np.abs(dissims - m) > k * d

@@ -10,7 +10,7 @@ centroids; it is the only thing other nodes ever see.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .validation import as_vector
 
 # Relative tolerance for float sums when auditing parent/child CF consistency.
 CF_SUM_RTOL = 1e-9
+# Rows the tree audit checks per numpy call.
+AUDIT_BATCH_ROWS = 1024
 
 
 @dataclass
@@ -116,8 +118,14 @@ def _sum_cfs(entries: list[CFEntry]) -> ClusterFeature:
 
 @dataclass
 class CFNode:
+    """A tree node. ``cents[i]`` caches the centroid of ``entries[i]`` and is kept current
+    in place, with the division ``ClusterFeature.centroids_of`` does, so descent and
+    splits read the same centroids a rebuild would give, bit for bit.
+    """
+
     is_leaf: bool
-    entries: list[CFEntry] = field(default_factory=list)
+    entries: list[CFEntry]
+    cents: np.ndarray  # shape (len(entries), M)
 
 
 @dataclass
@@ -149,7 +157,7 @@ class CFTree:
         self.dimension = dimension
         self.threshold = float(threshold)
         self.branching_factor = branching_factor
-        self.root = CFNode(is_leaf=True)
+        self.root = CFNode(True, [], np.empty((0, dimension)))
         self.total_points = 0
         self._leaf_entries: list[CFEntry] = []  # creation order, never removed
         # Leaf entries with count >= _dominant_alpha, in no particular order.
@@ -164,7 +172,7 @@ class CFTree:
         v = as_vector(x, self.dimension, nonneg=True)
         split, entry = self._insert(self.root, v)
         if split is not None:
-            self.root = CFNode(is_leaf=False, entries=list(split))
+            self.root = CFNode(False, list(split), ClusterFeature.centroids_of([e.cf for e in split]))
         self.total_points += 1
         if entry.cf.count == self._dominant_alpha:
             self._dominant.append(entry)
@@ -174,26 +182,31 @@ class CFTree:
         if node.is_leaf:
             return self._insert_leaf(node, x)
 
-        i = self._nearest(node.entries, x)
+        i = self._nearest(node.cents, x)
         slot = node.entries[i]
         split, entry = self._insert(slot.child, x)
         if split is None:
             slot.cf._absorb(x)
+            node.cents[i] = slot.cf.linear_sum / slot.cf.count
         else:
-            node.entries[i : i + 1] = list(split)
+            node.entries[i : i + 1] = split
+            halves = ClusterFeature.centroids_of([e.cf for e in split])
+            node.cents = np.concatenate((node.cents[:i], halves, node.cents[i + 1 :]))
             if len(node.entries) > self.branching_factor:
                 return self._split(node), entry
         return None, entry
 
     def _insert_leaf(self, node: CFNode, x: np.ndarray):
         if node.entries:
-            i = self._nearest(node.entries, x)
+            i = self._nearest(node.cents, x)
             e = node.entries[i]
             if e.cf.radius2_with(x) <= self.threshold * self.threshold:
                 e.cf._absorb(x)
+                node.cents[i] = e.cf.linear_sum / e.cf.count
                 return None, e
         e = self._new_entry(x)
         node.entries.append(e)
+        node.cents = np.concatenate((node.cents, x[None, :]))  # a singleton's centroid is x
         if len(node.entries) > self.branching_factor:
             return self._split(node), e
         return None, e
@@ -205,36 +218,37 @@ class CFTree:
         return e
 
     @staticmethod
-    def _nearest(entries: list[CFEntry], x: np.ndarray) -> int:
-        d2 = np.square(ClusterFeature.centroids_of([e.cf for e in entries]) - x).sum(axis=1)
+    def _nearest(cents: np.ndarray, x: np.ndarray) -> int:
+        d2 = np.square(cents - x).sum(axis=1)
         return int(np.argmin(d2))  # argmin takes the first minimum: lowest index
 
     def _split(self, node: CFNode) -> tuple[CFEntry, CFEntry]:
         """Farthest-pair seeding: the two most distant centroids seed the halves."""
-        ents = node.entries
-        cents = ClusterFeature.centroids_of([e.cf for e in ents])
+        cents = node.cents
         diff = cents[:, None, :] - cents[None, :, :]
         d2 = np.square(diff).sum(axis=2)
         if d2.max() == 0.0:
             a, b = 0, 1  # all centroids coincide; degenerate but deterministic
         else:
             a, b = np.unravel_index(int(np.argmax(d2)), d2.shape)  # first max: a < b
-        ga: list[CFEntry] = []
-        gb: list[CFEntry] = []
-        for k, e in enumerate(ents):
+        ga: list[int] = []
+        gb: list[int] = []
+        for k in range(len(node.entries)):
             if k == a:
-                ga.append(e)
+                ga.append(k)
             elif k == b:
-                gb.append(e)
+                gb.append(k)
             elif d2[k, a] <= d2[k, b]:  # tie goes to the lower-index seed
-                ga.append(e)
+                ga.append(k)
             else:
-                gb.append(e)
-        return self._group_entry(ga, node.is_leaf), self._group_entry(gb, node.is_leaf)
+                gb.append(k)
+        return self._group_entry(node, ga), self._group_entry(node, gb)
 
     @staticmethod
-    def _group_entry(group: list[CFEntry], is_leaf: bool) -> CFEntry:
-        return CFEntry(_sum_cfs(group), child=CFNode(is_leaf=is_leaf, entries=group))
+    def _group_entry(node: CFNode, rows: list[int]) -> CFEntry:
+        """A new node over ``node``'s entries at ``rows``, with their cached centroids."""
+        group = [node.entries[k] for k in rows]
+        return CFEntry(_sum_cfs(group), child=CFNode(node.is_leaf, group, node.cents[rows]))
 
     # -- read side ---------------------------------------------------------
 
@@ -273,10 +287,38 @@ class CFTree:
         """Full-tree audit; returns human-readable violations (empty = healthy)."""
         issues: list[str] = []
         seen: list[CFEntry] = []
+        # Row-wise checks run on batches of rows: a numpy call per row is slow,
+        # and one call over the whole tree holds every row's copy at once.
+        inner: list[tuple[str, ClusterFeature, ClusterFeature]] = []  # (path, CF, child sum)
+        cached: list[tuple[str, np.ndarray]] = []  # (path, cents) of non-empty nodes
+        cached_cfs: list[ClusterFeature] = []  # their entries' CFs, row for row
+
+        def check_batch() -> None:
+            if inner:
+                for name in ("linear_sum", "square_sum"):
+                    got = np.array([getattr(cf, name) for _, cf, _ in inner])
+                    child = np.array([getattr(agg, name) for _, _, agg in inner])
+                    # np.allclose, row by row
+                    close = np.isclose(got, child, rtol=CF_SUM_RTOL, atol=1e-12).all(axis=1)
+                    for k in np.flatnonzero(~close):
+                        issues.append(f"{inner[k][0]}: {name} differs from child sum")
+            if cached:
+                fresh = np.concatenate([c for _, c in cached]) == ClusterFeature.centroids_of(cached_cfs)
+                node_of_row = np.repeat(np.arange(len(cached)), [len(c) for _, c in cached])
+                for k in dict.fromkeys(node_of_row[~fresh.all(axis=1)].tolist()):  # once per node
+                    issues.append(f"{cached[k][0]}: stale centroid cache")
+            inner.clear()
+            cached.clear()
+            cached_cfs.clear()
 
         def walk(node: CFNode, path: str) -> None:
             if len(node.entries) > self.branching_factor:
                 issues.append(f"{path}: {len(node.entries)} entries > B")
+            if node.cents.shape != (len(node.entries), self.dimension):
+                issues.append(f"{path}: stale centroid cache")
+            elif node.entries:
+                cached.append((path, node.cents))
+                cached_cfs.extend(e.cf for e in node.entries)
             for i, e in enumerate(node.entries):
                 if node.is_leaf:
                     seen.append(e)
@@ -286,15 +328,13 @@ class CFTree:
                 agg = _sum_cfs(e.child.entries)
                 if agg.count != e.cf.count:
                     issues.append(f"{path}[{i}]: count {e.cf.count} != child sum {agg.count}")
-                for name, a, b in (
-                    ("linear_sum", e.cf.linear_sum, agg.linear_sum),
-                    ("square_sum", e.cf.square_sum, agg.square_sum),
-                ):
-                    if not np.allclose(a, b, rtol=CF_SUM_RTOL, atol=1e-12):
-                        issues.append(f"{path}[{i}]: {name} differs from child sum")
+                inner.append((f"{path}[{i}]", e.cf, agg))
                 walk(e.child, f"{path}[{i}]")
+            if len(cached_cfs) + len(inner) >= AUDIT_BATCH_ROWS:
+                check_batch()
 
         walk(self.root, "root")
+        check_batch()
         mass = sum(e.cf.count for e in seen)
         if mass != self.total_points:
             issues.append(f"mass {mass} != inserted {self.total_points}")
@@ -324,11 +364,9 @@ def extract_synopsis(
     one costs O(dominant log dominant), not O(leaves); the first call for an
     alpha scans every leaf once.
     """
-    if alpha < 1:
-        raise ConfigError("alpha must be >= 1")
+    dom = tree.dominant_entries(alpha)  # checks alpha, ahead of the emptiness check
     if tree.total_points == 0:
         raise EmptyClusterError("cannot extract a synopsis from an empty tree")
-    dom = tree.dominant_entries(alpha)
     dom.sort(key=lambda e: (-e.cf.count, e.seq))
     cfs = [e.cf.copy() for e in dom] if dom else [tree.root_cf()]
     centroids = np.array([cf.centroid() for cf in cfs])

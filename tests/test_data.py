@@ -23,10 +23,13 @@ from synalloc.data import DIMENSION_COLUMNS
 # Random bytes almost never name the five columns, so most examples are a valid
 # header and rows of well-formed numbers, half of them with one cell replaced
 # by what the parser treats specially: separators, quotes, line breaks, signs,
-# the -200 sentinel and non-finite spellings.
+# the -200 sentinel and non-finite spellings. The line breaks include the ones
+# that str.splitlines() knows and a CSV file does not (\x0b, \x0c, \x1c-\x1e,
+# \x85, \u2028, \u2029, UTF-8 encoded).
 _GOOD_CELLS = [b"1", b"0", b"2.5", b"007"]
-_TOKENS = [b"2,5", b"-200", b"-1", b"nan", b"inf", b"1e400", b",", b";", b'"', b"\r", b"\x00",
-           b"\xff", b" ", b""]
+_TOKENS = [b"2,5", b"-200", b"-1", b"nan", b"inf", b"1e400", b",", b";", b'"', b"\r", b"\n", b"\x00",
+           b"\xff", b" ", b"", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", "\x85".encode(),
+           "\u2028".encode(), "\u2029".encode()]
 
 
 @st.composite
@@ -85,6 +88,23 @@ class TestLoadAirQuality:
     def test_strict_mode_raises_on_bad_rows(self, fixtures_dir):
         with pytest.raises(DatasetFormatError):
             load_air_quality(fixtures_dir / "bad_rows.csv", strict=True)
+
+    def test_only_csv_line_breaks_end_a_row(self, tmp_path):
+        p = tmp_path / "ff.csv"
+        p.write_bytes(b"CO_GT,NMHC_GT,C6H6_GT,NOX_GT,NO2_GT\n1,2,3\x0c,4,5\n")
+        ds = load_air_quality(p, strict=True)
+        assert ds.rows.tolist() == [[1.0, 2.0, 3.0, 4.0, 5.0]]
+
+    def test_quoted_field_spans_lines_and_messages_count_file_lines(self, tmp_path):
+        p = tmp_path / "multiline.csv"
+        p.write_bytes(b'CO_GT,NMHC_GT,C6H6_GT,NOX_GT,NO2_GT,Note\n'
+                      b'1,2,3,4,5,"first\nsecond"\n'
+                      b'6,7,8,9,10,x\n'
+                      b'6,oops,8,9,10,y\n')
+        ds = load_air_quality(p)
+        assert ds.rows.tolist() == [[1.0, 2.0, 3.0, 4.0, 5.0], [6.0, 7.0, 8.0, 9.0, 10.0]]
+        with pytest.raises(DatasetFormatError, match=r"multiline\.csv:5: malformed row"):
+            load_air_quality(p, strict=True)
 
     @given(st.one_of(st.binary(max_size=200), fuzz_csv()), st.booleans())
     @settings(max_examples=300, deadline=None,

@@ -345,6 +345,15 @@ class TestAudit:
         assert not report.checks["cf_consistency"]
         assert any("dominant registry out of sync" in i for i in report.issues)
 
+    def test_detects_stale_centroid_cache(self, rng):
+        eng = self._run_engine(rng)
+        root = eng.partitions[2].tree.root
+        root.cents[0] = root.cents[0] * (1.0 + 1e-12)
+        report = eng.audit()
+        assert not report.checks["cf_consistency"]
+        assert "partition 3: root: stale centroid cache" in report.issues
+        assert report.checks["mass_conservation"] and report.checks["synopsis_alpha_compliance"]
+
     def test_detects_corrupted_synopsis_centroid(self, rng):
         eng = self._run_engine(rng)
         eng.partitions[1].current_synopsis.centroids[0] += 99.0

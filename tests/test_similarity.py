@@ -17,7 +17,7 @@ from synalloc import (
     opinion_pool,
     sorensen_dissim,
 )
-from synalloc.similarity import METRICS, WeightVector
+from synalloc.similarity import METRICS, WeightVector, _pool_rows
 
 from conftest import make_synopsis
 from test_engine import naive_metrics, naive_pool
@@ -178,6 +178,75 @@ class TestWeights:
         wv = WeightVector(np.array([0.5, 0.5]), theta=0.1)
         with pytest.raises(VectorError):
             opinion_pool([0.1, 0.2, 0.3], wv)
+
+
+# ---------------------------------------------------------------- outlier-rule skip
+
+def full_rule(dissims, theta, k):
+    """The outlier rule evaluated on every row, with no skip: the reference for ``_pool_rows``."""
+    n = dissims.shape[1]
+    m = dissims.mean(axis=1, keepdims=True)
+    d = dissims.std(axis=1, keepdims=True)
+    outlier = np.abs(dissims - m) > k * d
+    n_out = outlier.sum(axis=1, keepdims=True)
+    share = (1.0 - n_out * theta) / np.maximum(n - n_out, 1)
+    w = np.where(outlier, theta, share)
+    degenerate = (d == 0.0) | (n_out == n)
+    w = np.where(degenerate, 1.0 / n, w)
+    return w, (dissims * w).sum(axis=1)
+
+
+# Three outcomes a few parts in 1e7 apart at 1e-155: the squared deviations are
+# subnormal, and the computed z-score of the first is 1.8708 > sqrt(2).
+SUBNORMAL_SPREAD_ROW = [9.999995841700118e-156, 1.0000002668839275e-155, 1.0000001489460608e-155]
+
+
+@st.composite
+def outcome_rows(draw, n):
+    """A row of ``n`` outcomes: near-equal, spread at subnormal scale, all zero, or with NaNs."""
+    kind = draw(st.sampled_from(["near_equal", "scaled_spread", "zero", "nan", "any"]))
+    if kind == "zero":
+        return [0.0] * n
+    if kind == "any":
+        return draw(st.lists(st.floats(0, 1, allow_nan=False), min_size=n, max_size=n))
+    base = 10.0 ** draw(st.floats(-300, 0))
+    if kind == "near_equal":  # a few ulps apart
+        ulp = float(np.spacing(base))
+        row = [base + s * ulp for s in draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))]
+    else:
+        rel = st.floats(-1e-5, 1e-5, allow_nan=False)
+        row = [base * (1.0 + r) for r in draw(st.lists(rel, min_size=n, max_size=n))]
+    if kind == "nan":
+        row[draw(st.integers(0, n - 1))] = float("nan")
+    return row
+
+
+class TestOutlierRuleSkip:
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+        st.lists(outcome_rows(n), min_size=1, max_size=8),
+        st.floats(1e-3, 0.999 / n),
+        st.floats(0.0, 4.0).map(lambda f: float(np.sqrt(2 * n)) * (1.0 + f)),
+    )))
+    @settings(max_examples=400, deadline=None)
+    def test_skip_matches_the_full_rule_bit_for_bit(self, case):
+        rows, theta, k = case
+        dissims = np.array(rows)
+        n = dissims.shape[1]
+        if k * k < 2 * n:  # sqrt(2n) squared can round below 2n
+            k = float(np.nextafter(k, np.inf))
+        assert k * k >= 2 * n
+        w, pooled = _pool_rows(dissims, theta, k)
+        want_w, want_pooled = full_rule(dissims, theta, k)
+        assert w.tobytes() == want_w.tobytes()
+        assert pooled.tobytes() == want_pooled.tobytes()
+
+    def test_subnormal_spread_is_why_the_margin_exceeds_sqrt_n_minus_1(self):
+        row = np.array([SUBNORMAL_SPREAD_ROW])
+        w, _ = full_rule(row, 0.1, 1.8)  # k = 1.8 > sqrt(n - 1) = sqrt(2), and the rule fires
+        assert w[0, 0] == 0.1 and w[0, 1] == w[0, 2] == 0.45
+        assert _pool_rows(row, 0.1, 1.8)[0].tobytes() == w.tobytes()  # below sqrt(6): full rule
+        assert np.array_equal(_pool_rows(row, 0.1, 3.0)[0], np.full((1, 3), 1.0 / 3))
+        assert np.array_equal(full_rule(row, 0.1, 3.0)[0], np.full((1, 3), 1.0 / 3))
 
 
 # ---------------------------------------------------------------- ensemble

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from synalloc import ClusterFeature, CFTree, EmptyClusterError, VectorError, extract_synopsis
+from synalloc import ClusterFeature, CFTree, EmptyClusterError, VectorError, extract_synopsis, synopsis
 from synalloc.synopsis import CFEntry, CFNode
 
 
@@ -29,6 +29,13 @@ def walked_leaves(node: CFNode) -> list[CFEntry]:
     if node.is_leaf:
         return list(node.entries)
     return [leaf for e in node.entries for leaf in walked_leaves(e.child)]
+
+
+def walked_nodes(node: CFNode) -> list[CFNode]:
+    """Every node of the tree, parents before children."""
+    if node.is_leaf:
+        return [node]
+    return [node] + [n for e in node.entries for n in walked_nodes(e.child)]
 
 
 def naive_synopsis(tree: CFTree, alpha: int) -> list[ClusterFeature]:
@@ -164,11 +171,10 @@ class TestCFTree:
         assert tree.root_cf().count == 10
 
     def test_nearest_breaks_ties_toward_lowest_index(self):
-        entries = [
-            CFEntry(ClusterFeature.from_point([0.0])),
-            CFEntry(ClusterFeature.from_point([2.0])),
-        ]
-        assert CFTree._nearest(entries, np.array([1.0])) == 0
+        cents = ClusterFeature.centroids_of(
+            [ClusterFeature.from_point([0.0]), ClusterFeature.from_point([2.0])]
+        )
+        assert CFTree._nearest(cents, np.array([1.0])) == 0
 
     def test_insert_reports_new_vs_absorbed(self):
         tree = CFTree(dimension=1, threshold=5.0)
@@ -212,6 +218,60 @@ class TestCFTree:
             tree.insert(row)
         assert tree.consistency_issues() == []
         assert tree.root_cf().count == len(pts)
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda d: st.lists(
+                hnp.arrays(np.float64, d, elements=st.floats(0, 1e6, allow_nan=False)),
+                min_size=1,
+                max_size=80,
+            )
+        ),
+        st.floats(0.1, 10.0),
+        st.integers(2, 8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_centroid_cache_matches_a_rebuild_after_every_insert(self, pts, threshold, branching):
+        tree = CFTree(dimension=len(pts[0]), threshold=threshold, branching_factor=branching)
+        for row in pts:
+            tree.insert(row)
+            for node in walked_nodes(tree.root):
+                want = ClusterFeature.centroids_of([e.cf for e in node.entries])
+                assert node.cents.shape == want.shape
+                assert node.cents.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _audited_tree(rng, monkeypatch, batch):
+        """A tree of height > 2; the audit checks ``batch`` rows per numpy call (None: default)."""
+        if batch is not None:
+            monkeypatch.setattr(synopsis, "AUDIT_BATCH_ROWS", batch)
+        tree = CFTree(dimension=2, threshold=0.5, branching_factor=3)
+        for row in rng.uniform(0.0, 10.0, size=(60, 2)):
+            tree.insert(row)
+        assert tree.height() > 2 and tree.consistency_issues() == []
+        return tree
+
+    @pytest.mark.parametrize("batch", [1, 7, None])
+    @pytest.mark.parametrize("fault", ["root", "leaf", "missing_row"])
+    def test_audit_reports_a_stale_centroid_cache(self, rng, monkeypatch, batch, fault):
+        tree = self._audited_tree(rng, monkeypatch, batch)
+        node = tree.root if fault == "root" else walked_nodes(tree.root)[-1]
+        if fault == "missing_row":
+            node.cents = node.cents[:-1]
+        else:
+            node.cents[-1, 0] = np.nextafter(node.cents[-1, 0], np.inf)
+        stale = [i for i in tree.consistency_issues() if "stale centroid cache" in i]
+        assert len(stale) == 1
+        assert (stale[0] == "root: stale centroid cache") == (fault == "root")
+
+    @pytest.mark.parametrize("batch", [1, 7, None])
+    @pytest.mark.parametrize("name", ["linear_sum", "square_sum"])
+    def test_audit_reports_a_parent_sum_that_differs_from_its_children(self, rng, monkeypatch, batch, name):
+        tree = self._audited_tree(rng, monkeypatch, batch)
+        getattr(tree.root.entries[1].cf, name)[1] *= 1.0 + 1e-6
+        assert [i for i in tree.consistency_issues() if "differs" in i] == [
+            f"root[1]: {name} differs from child sum"
+        ]
 
     def test_rejects_bad_vectors(self):
         tree = CFTree(dimension=2, threshold=1.0)
@@ -288,6 +348,14 @@ class TestExtractSynopsis:
             extract_synopsis(tree, alpha=0, partition_id=1, version=1)
         with pytest.raises(ConfigError):
             tree.dominant_entries(0)  # at 0, new entries (count 1) would never join
+
+    def test_bad_alpha_is_reported_before_an_empty_tree(self):
+        from synalloc import ConfigError
+
+        with pytest.raises(ConfigError):
+            extract_synopsis(CFTree(dimension=2, threshold=1.0), alpha=0, partition_id=1, version=1)
+        with pytest.raises(EmptyClusterError):
+            extract_synopsis(CFTree(dimension=2, threshold=1.0), alpha=1, partition_id=1, version=1)
 
     @given(
         st.lists(
