@@ -24,6 +24,11 @@ length:
 - preset 2 refreshing every 3 inserts (seed 4), so that the message count
   in the JSON report comes from a batched refresh schedule;
 - ``validate --seed 9``, once as is and once refreshing every 7 inserts;
+- branching factor 3 (presets 1 and 2, the alpha-crossing configuration
+  and ``validate --seed 9``), so that trees grow deep and a node splits
+  every few inserts, and branching factor 16 (preset 3 and the
+  multi-centroid configuration), so that split groups hold up to 16
+  entries;
 - the ``--help`` text of ``run``, ``validate`` and ``stats``.
 
 Every output file, stdout, stderr and the exit code must match byte for
@@ -61,6 +66,17 @@ def cases() -> list[tuple[str, list[str]]]:
     out.append(("run-s2-seed4-refresh3", ["run", "--scenario", "2", "--seed", "4", "--refresh", "3", *outputs]))
     out.append(("validate-seed9", ["validate", "--seed", "9"]))
     out.append(("validate-seed9-refresh7", ["validate", "--seed", "9", "--refresh", "7"]))
+    out.extend((f"run-s{scenario}-seed{scenario}-branching3",
+                ["run", "--scenario", str(scenario), "--seed", str(scenario), "--branching", "3", *outputs])
+               for scenario in (1, 2))
+    out.append(("run-alpha-crossing-branching3", ["run", "--scenario", "1", "--seed", "2", "--partitions", "16",
+                                                  "--alpha", "5", "--threshold", "4.0", "--refresh", "1",
+                                                  "--branching", "3", *outputs]))
+    out.append(("validate-seed9-branching3", ["validate", "--seed", "9", "--branching", "3"]))
+    out.append(("run-s3-seed3-branching16",
+                ["run", "--scenario", "3", "--seed", "3", "--branching", "16", *outputs]))
+    out.append(("run-multi-centroid-branching16", ["run", "--scenario", "1", "--seed", "1", *MULTI_CENTROID,
+                                                   "--outlier-k", "1.35", "--branching", "16", *outputs]))
     out.extend((f"help-{command}", [command, "--help"]) for command in ("run", "validate", "stats"))
     return out
 

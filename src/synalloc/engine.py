@@ -27,7 +27,7 @@ from .similarity import (
     ensemble_similarity,
     score_segments,
 )
-from .synopsis import CFTree, Synopsis, extract_synopsis
+from .synopsis import CFTree, Synopsis, _check_tree_params, extract_synopsis
 from .validation import as_vector
 
 # Data-scaled leaf threshold: this fraction of the RMS per-dimension std of
@@ -49,14 +49,9 @@ class EngineConfig:
     def __post_init__(self):
         if self.n_partitions < 1:
             raise ConfigError("need at least one partition")
-        if self.dimension < 1:
-            raise ConfigError("dimension must be >= 1")
         if self.alpha < 1:
             raise ConfigError("alpha must be >= 1")
-        if self.branching_factor < 2:
-            raise ConfigError("branching factor must be >= 2")
-        if self.threshold is not None and not self.threshold > 0:
-            raise ConfigError("threshold must be positive")
+        _check_tree_params(self.dimension, self.threshold, self.branching_factor)
         _check_weight_params(self.theta, self.outlier_k)
         if self.refresh_interval < 1:
             raise ConfigError("refresh interval must be >= 1")
@@ -218,7 +213,7 @@ class AllocationEngine:
 
         mass_ok = True
         for pid, p in numbered:
-            registry_mass = sum(e.cf.count for e in p.tree.leaf_entries())
+            registry_mass = int(p.tree.counts[p.tree.leaf_entries()].sum())
             if registry_mass != p.tree.total_points:
                 mass_ok = False
                 issues.append(

@@ -19,7 +19,7 @@ from .validation import as_vector
 
 # Relative tolerance for float sums when auditing parent/child CF consistency.
 CF_SUM_RTOL = 1e-9
-# Rows the tree audit checks per numpy call.
+# Rows the audit's centroid-cache check compares per numpy call: its temporaries stay this size.
 AUDIT_BATCH_ROWS = 1024
 
 
@@ -66,21 +66,13 @@ class ClusterFeature:
         """RMS distance of absorbed points to the centroid (0 for singletons)."""
         if self.count < 1:
             raise EmptyClusterError("radius of an empty cluster")
-        c = self.linear_sum / self.count
-        r2 = self.square_sum.sum() / self.count - float(c @ c)
-        return float(np.sqrt(max(0.0, r2)))
+        return float(_radii(np.array([self.count]), self.linear_sum[None, :], self.square_sum[None, :])[0])
 
     def radius2_with(self, x: np.ndarray) -> float:
         """Squared radius this cluster would have after absorbing ``x``, without building it."""
         n = self.count + 1
         ls = self.linear_sum + x
         return (self.square_sum.sum() + float(x @ x)) / n - float(ls @ ls) / (n * n)
-
-    @staticmethod
-    def centroids_of(cfs: list[ClusterFeature]) -> np.ndarray:
-        """Centroid of each non-empty CF, one row per CF."""
-        cnt = np.array([cf.count for cf in cfs], dtype=np.float64)
-        return np.array([cf.linear_sum for cf in cfs]) / cnt[:, None]
 
     def variance(self) -> np.ndarray:
         """Per-dimension population variance, clamped at 0 against round-off."""
@@ -89,43 +81,21 @@ class ClusterFeature:
         c = self.linear_sum / self.count
         return np.maximum(0.0, self.square_sum / self.count - c * c)
 
-    def copy(self) -> "ClusterFeature":
-        return ClusterFeature(self.count, self.linear_sum.copy(), self.square_sum.copy())
 
-    def _absorb(self, x: np.ndarray) -> None:
-        # In-place equivalent of merge(from_point(x)); hot path of tree inserts.
-        self.count += 1
-        self.linear_sum += x
-        self.square_sum += x * x
+def _radii(counts: np.ndarray, linear_sums: np.ndarray, square_sums: np.ndarray) -> np.ndarray:
+    """RMS radius of each row's cluster, sqrt(SS/n - |LS/n|^2), clamped at 0 against round-off."""
+    c = linear_sums / counts[:, None]
+    return np.sqrt(np.maximum(0.0, square_sums.sum(axis=1) / counts - np.square(c).sum(axis=1)))
 
 
-@dataclass
-class CFEntry:
-    """One slot in a tree node: a CF plus the child it summarises (leaves: None)."""
-
-    cf: ClusterFeature
-    child: "CFNode | None" = None
-    seq: int = -1  # creation ordinal for leaf entries; ties in dominance sort
-
-
-def _sum_cfs(entries: list[CFEntry]) -> ClusterFeature:
-    """Sum of the entries' CFs, merged in list order into a copy of the first."""
-    cf = entries[0].cf.copy()
-    for e in entries[1:]:
-        cf = cf.merge(e.cf)
-    return cf
-
-
-@dataclass
-class CFNode:
-    """A tree node. ``cents[i]`` caches the centroid of ``entries[i]`` and is kept current
-    in place, with the division ``ClusterFeature.centroids_of`` does, so descent and
-    splits read the same centroids a rebuild would give, bit for bit.
-    """
-
-    is_leaf: bool
-    entries: list[CFEntry]
-    cents: np.ndarray  # shape (len(entries), M)
+def _check_tree_params(dimension: int, threshold: float | None, branching_factor: int) -> None:
+    """Domain of a CF-tree: dimension >= 1, threshold > 0 (None: chosen later, from data), B >= 2."""
+    if dimension < 1:
+        raise ConfigError("dimension must be >= 1")
+    if threshold is not None and not threshold > 0:  # written so that NaN fails too
+        raise ConfigError("threshold must be positive")
+    if branching_factor < 2:
+        raise ConfigError("branching factor must be >= 2")
 
 
 @dataclass
@@ -145,119 +115,147 @@ class CFTree:
     the lowest entry index). A leaf entry absorbs a point only if its radius
     stays within ``threshold``; otherwise the point opens a new entry.
     Overfull nodes split by farthest-pair seeding. Single writer only.
+
+    The tree is one entry table plus an array of entry ids per node. Row ``e``
+    holds entry ``e``'s count, sums, centroid (kept equal to ``linear_sum / count``)
+    and child node (-1: a leaf entry). Ids are never freed and ascend in creation order.
     """
 
     def __init__(self, dimension: int, threshold: float, branching_factor: int = 8):
-        if dimension < 1:
-            raise ConfigError("dimension must be >= 1")
-        if not threshold > 0:
-            raise ConfigError("leaf threshold must be positive")
-        if branching_factor < 2:
-            raise ConfigError("branching factor must be >= 2")
+        _check_tree_params(dimension, threshold, branching_factor)
         self.dimension = dimension
         self.threshold = float(threshold)
         self.branching_factor = branching_factor
-        self.root = CFNode(True, [], np.empty((0, dimension)))
         self.total_points = 0
-        self._leaf_entries: list[CFEntry] = []  # creation order, never removed
-        # Leaf entries with count >= _dominant_alpha, in no particular order.
+        self._n = 0  # rows in use; the arrays below are grown by doubling
+        self._count = np.zeros(0, dtype=np.int64)
+        self._ls = np.zeros((0, dimension))
+        self._ss = np.zeros((0, dimension))
+        self._cent = np.zeros((0, dimension))
+        self._child = np.zeros(0, dtype=np.intp)
+        self._nodes: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]  # entry ids per node
+        self._root = 0
+        # Leaf entry ids with count >= _dominant_alpha, in no particular order.
         # Counts only grow, so each entry joins once, when it reaches alpha.
-        self._dominant: list[CFEntry] = []
+        self._dominant: list[int] = []
         self._dominant_alpha: int | None = None  # None: not tracked yet
 
     # -- insertion ---------------------------------------------------------
 
-    def insert(self, x) -> tuple[CFEntry, bool]:
-        """Route ``x`` to its leaf entry; returns (entry, newly_created)."""
+    def insert(self, x) -> tuple[int, bool]:
+        """Route ``x`` to its leaf entry; returns (entry id, newly_created)."""
         v = as_vector(x, self.dimension, nonneg=True)
-        split, entry = self._insert(self.root, v)
-        if split is not None:
-            self.root = CFNode(False, list(split), ClusterFeature.centroids_of([e.cf for e in split]))
-        self.total_points += 1
-        if entry.cf.count == self._dominant_alpha:
-            self._dominant.append(entry)
-        return entry, entry.cf.count == 1  # new entries start at 1; an absorb leaves >= 2
+        vv = v * v
+        path = []  # (node, position, entry id) of each inner entry on the way down
+        node = self._root
+        while len(ids := self._nodes[node]):
+            i = self._nearest(self._cent.take(ids, axis=0), v)
+            e = int(ids[i])
+            if (child := int(self._child[e])) < 0:
+                break
+            path.append((node, i, e))
+            node = child
 
-    def _insert(self, node: CFNode, x: np.ndarray):
-        if node.is_leaf:
-            return self._insert_leaf(node, x)
-
-        i = self._nearest(node.cents, x)
-        slot = node.entries[i]
-        split, entry = self._insert(slot.child, x)
-        if split is None:
-            slot.cf._absorb(x)
-            node.cents[i] = slot.cf.linear_sum / slot.cf.count
+        nearest = ClusterFeature(int(self._count[e]), self._ls[e], self._ss[e]) if len(ids) else None  # views
+        if nearest is not None and nearest.radius2_with(v) <= self.threshold * self.threshold:
+            leaf = e
+            path.append((node, i, e))  # absorbs like the entries above it
         else:
-            node.entries[i : i + 1] = split
-            halves = ClusterFeature.centroids_of([e.cf for e in split])
-            node.cents = np.concatenate((node.cents[:i], halves, node.cents[i + 1 :]))
-            if len(node.entries) > self.branching_factor:
-                return self._split(node), entry
-        return None, entry
+            leaf = self._add_row(1, v.copy(), vv, -1)
+            self._nodes[node] = np.concatenate((ids, [leaf]))
+            # Back up while nodes split: re-sum the parent entry, add one after it for the new node.
+            split = self._split(node)
+            while split is not None and path:
+                node, i, e = path.pop()
+                self._set_row(e, *self._fold(self._nodes[int(self._child[e])]))
+                half = self._add_row(*self._fold(self._nodes[split]), split)
+                ids = self._nodes[node]
+                self._nodes[node] = np.concatenate((ids[: i + 1], [half], ids[i + 1 :]))
+                split = self._split(node)
+            if split is not None:  # the root split: a new root over its two halves
+                halves = [self._add_row(*self._fold(self._nodes[k]), k) for k in (node, split)]
+                self._nodes.append(np.array(halves, dtype=np.intp))
+                self._root = len(self._nodes) - 1
+        for _, _, e in path:  # in place, what merging ClusterFeature.from_point(v) would give
+            self._count[e] = n = self._count[e] + 1
+            ls = self._ls[e]
+            ls += v
+            ss = self._ss[e]
+            ss += vv
+            np.divide(ls, n, out=self._cent[e])
 
-    def _insert_leaf(self, node: CFNode, x: np.ndarray):
-        if node.entries:
-            i = self._nearest(node.cents, x)
-            e = node.entries[i]
-            if e.cf.radius2_with(x) <= self.threshold * self.threshold:
-                e.cf._absorb(x)
-                node.cents[i] = e.cf.linear_sum / e.cf.count
-                return None, e
-        e = self._new_entry(x)
-        node.entries.append(e)
-        node.cents = np.concatenate((node.cents, x[None, :]))  # a singleton's centroid is x
-        if len(node.entries) > self.branching_factor:
-            return self._split(node), e
-        return None, e
+        self.total_points += 1
+        if self._count[leaf] == self._dominant_alpha:
+            self._dominant.append(leaf)
+        return leaf, bool(self._count[leaf] == 1)  # new entries start at 1; an absorb leaves >= 2
 
-    def _new_entry(self, x: np.ndarray) -> CFEntry:
-        # x was validated by insert; from_point would validate it again.
-        e = CFEntry(ClusterFeature(1, x.copy(), x * x), seq=len(self._leaf_entries))
-        self._leaf_entries.append(e)
+    def _add_row(self, count: int, linear_sum: np.ndarray, square_sum: np.ndarray, child: int) -> int:
+        e = self._n
+        if e == len(self._count):
+            cap = max(8, 2 * e)
+            for name in ("_count", "_ls", "_ss", "_cent", "_child"):
+                old = getattr(self, name)
+                grown = np.empty((cap, *old.shape[1:]), dtype=old.dtype)
+                grown[:e] = old
+                setattr(self, name, grown)
+        self._n = e + 1
+        self._child[e] = child
+        self._set_row(e, count, linear_sum, square_sum)
         return e
+
+    def _set_row(self, e: int, count: int, linear_sum: np.ndarray, square_sum: np.ndarray) -> None:
+        self._count[e] = count
+        self._ls[e] = linear_sum
+        self._ss[e] = square_sum
+        self._cent[e] = linear_sum / count
+
+    def _fold(self, ids: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+        """Count and sums of rows ``ids``, added in order as a fold of ``ClusterFeature.merge``."""
+        # cumsum adds row after row; sum(axis=0) would sum pairwise at dimension 1.
+        return int(self._count[ids].sum()), self._ls[ids].cumsum(axis=0)[-1], self._ss[ids].cumsum(axis=0)[-1]
 
     @staticmethod
     def _nearest(cents: np.ndarray, x: np.ndarray) -> int:
         d2 = np.square(cents - x).sum(axis=1)
-        return int(np.argmin(d2))  # argmin takes the first minimum: lowest index
+        return int(d2.argmin())  # argmin takes the first minimum: lowest index
 
-    def _split(self, node: CFNode) -> tuple[CFEntry, CFEntry]:
-        """Farthest-pair seeding: the two most distant centroids seed the halves."""
-        cents = node.cents
-        diff = cents[:, None, :] - cents[None, :, :]
-        d2 = np.square(diff).sum(axis=2)
+    def _split(self, node: int) -> int | None:
+        """Split an overfull ``node`` by farthest-pair seeding; returns the new node, or None.
+
+        ``node`` keeps the first seed's group and the new node takes the other.
+        """
+        ids = self._nodes[node]
+        if len(ids) <= self.branching_factor:
+            return None
+        cents = self._cent.take(ids, axis=0)
+        d2 = np.square(cents[:, None, :] - cents[None, :, :]).sum(axis=2)
         if d2.max() == 0.0:
             a, b = 0, 1  # all centroids coincide; degenerate but deterministic
         else:
             a, b = np.unravel_index(int(np.argmax(d2)), d2.shape)  # first max: a < b
-        ga: list[int] = []
-        gb: list[int] = []
-        for k in range(len(node.entries)):
-            if k == a:
-                ga.append(k)
-            elif k == b:
-                gb.append(k)
-            elif d2[k, a] <= d2[k, b]:  # tie goes to the lower-index seed
-                ga.append(k)
-            else:
-                gb.append(k)
-        return self._group_entry(node, ga), self._group_entry(node, gb)
-
-    @staticmethod
-    def _group_entry(node: CFNode, rows: list[int]) -> CFEntry:
-        """A new node over ``node``'s entries at ``rows``, with their cached centroids."""
-        group = [node.entries[k] for k in rows]
-        return CFEntry(_sum_cfs(group), child=CFNode(node.is_leaf, group, node.cents[rows]))
+        to_b = d2[:, a] > d2[:, b]  # a tie goes to the lower-index seed
+        to_b[a], to_b[b] = False, True
+        self._nodes[node] = ids[~to_b]
+        self._nodes.append(ids[to_b])
+        return len(self._nodes) - 1
 
     # -- read side ---------------------------------------------------------
 
-    def leaf_entries(self) -> list[CFEntry]:
-        """Live leaf entries in creation order."""
-        return list(self._leaf_entries)
+    @property
+    def counts(self) -> np.ndarray:
+        """Point count of every entry, indexed by entry id (a view into the table)."""
+        return self._count[: self._n]
 
-    def dominant_entries(self, alpha: int) -> list[CFEntry]:
-        """Leaf entries with count >= ``alpha``, in no particular order.
+    def leaf_entries(self) -> np.ndarray:
+        """Ids of the leaf entries, in creation order."""
+        return np.flatnonzero(self._child[: self._n] < 0)
+
+    def entry_cf(self, e: int) -> ClusterFeature:
+        """A copy of entry ``e``'s cluster feature."""
+        return ClusterFeature(int(self._count[e]), self._ls[e].copy(), self._ss[e].copy())
+
+    def dominant_entries(self, alpha: int) -> list[int]:
+        """Ids of the leaf entries with count >= ``alpha``, in no particular order.
 
         The first call for an ``alpha`` (or the first after a call with a
         different one) scans every leaf; later calls cost O(dominant),
@@ -266,87 +264,98 @@ class CFTree:
         if alpha < 1:
             raise ConfigError("alpha must be >= 1")
         if alpha != self._dominant_alpha:
-            self._dominant = [e for e in self._leaf_entries if e.cf.count >= alpha]
+            self._dominant = np.flatnonzero((self._child[: self._n] < 0) & (self.counts >= alpha)).tolist()
             self._dominant_alpha = alpha
         return list(self._dominant)
 
     def root_cf(self) -> ClusterFeature:
         """Aggregate CF of the whole tree."""
-        if not self.root.entries:
+        if self.total_points == 0:
             raise EmptyClusterError("empty tree has no aggregate CF")
-        return _sum_cfs(self.root.entries)
+        return ClusterFeature(*self._fold(self._nodes[self._root]))
 
     def height(self) -> int:
-        h, node = 1, self.root
-        while not node.is_leaf:
+        h, ids = 1, self._nodes[self._root]
+        while len(ids) and self._child[ids[0]] >= 0:
             h += 1
-            node = node.entries[0].child
+            ids = self._nodes[self._child[ids[0]]]
         return h
 
     def consistency_issues(self) -> list[str]:
         """Full-tree audit; returns human-readable violations (empty = healthy)."""
         issues: list[str] = []
-        seen: list[CFEntry] = []
-        # Row-wise checks run on batches of rows: a numpy call per row is slow,
-        # and one call over the whole tree holds every row's copy at once.
-        inner: list[tuple[str, ClusterFeature, ClusterFeature]] = []  # (path, CF, child sum)
-        cached: list[tuple[str, np.ndarray]] = []  # (path, cents) of non-empty nodes
-        cached_cfs: list[ClusterFeature] = []  # their entries' CFs, row for row
+        count, child = self.counts, self._child[: self._n]
+        leaf_depth = self.height() - 1
+        paths: list[str] = []  # per walked node
+        walked: list[np.ndarray] = []  # its entry ids
 
-        def check_batch() -> None:
-            if inner:
-                for name in ("linear_sum", "square_sum"):
-                    got = np.array([getattr(cf, name) for _, cf, _ in inner])
-                    child = np.array([getattr(agg, name) for _, _, agg in inner])
-                    # np.allclose, row by row
-                    close = np.isclose(got, child, rtol=CF_SUM_RTOL, atol=1e-12).all(axis=1)
-                    for k in np.flatnonzero(~close):
-                        issues.append(f"{inner[k][0]}: {name} differs from child sum")
-            if cached:
-                fresh = np.concatenate([c for _, c in cached]) == ClusterFeature.centroids_of(cached_cfs)
-                node_of_row = np.repeat(np.arange(len(cached)), [len(c) for _, c in cached])
-                for k in dict.fromkeys(node_of_row[~fresh.all(axis=1)].tolist()):  # once per node
-                    issues.append(f"{cached[k][0]}: stale centroid cache")
-            inner.clear()
-            cached.clear()
-            cached_cfs.clear()
+        def walk(node: int, path: str, depth: int) -> None:
+            ids = self._nodes[node]
+            paths.append(path)
+            walked.append(ids)
+            if len(ids) > self.branching_factor:
+                issues.append(f"{path}: {len(ids)} entries > B")
+            at_leaf_depth = depth == leaf_depth
+            if ((child[ids] < 0) != at_leaf_depth).any():
+                kind = "inner" if at_leaf_depth else "leaf"
+                issues.append(f"{path}: {kind} entry at depth {depth} of a height-{leaf_depth + 1} tree")
+            if not at_leaf_depth:
+                for i, e in enumerate(ids.tolist()):
+                    if child[e] >= 0:
+                        walk(int(child[e]), f"{path}[{i}]", depth + 1)
 
-        def walk(node: CFNode, path: str) -> None:
-            if len(node.entries) > self.branching_factor:
-                issues.append(f"{path}: {len(node.entries)} entries > B")
-            if node.cents.shape != (len(node.entries), self.dimension):
-                issues.append(f"{path}: stale centroid cache")
-            elif node.entries:
-                cached.append((path, node.cents))
-                cached_cfs.extend(e.cf for e in node.entries)
-            for i, e in enumerate(node.entries):
-                if node.is_leaf:
-                    seen.append(e)
-                    if e.cf.count >= 2 and e.cf.radius() > self.threshold + 1e-9:
-                        issues.append(f"{path}[{i}]: radius {e.cf.radius():.6g} > T")
-                    continue
-                agg = _sum_cfs(e.child.entries)
-                if agg.count != e.cf.count:
-                    issues.append(f"{path}[{i}]: count {e.cf.count} != child sum {agg.count}")
-                inner.append((f"{path}[{i}]", e.cf, agg))
-                walk(e.child, f"{path}[{i}]")
-            if len(cached_cfs) + len(inner) >= AUDIT_BATCH_ROWS:
-                check_batch()
+        walk(self._root, "root", 0)
+        rows = np.concatenate(walked)  # every entry id, as often as a node lists it
+        node_of = np.repeat(np.arange(len(walked)), [len(ids) for ids in walked])
+        first = np.searchsorted(node_of, node_of)  # walk position of each node's first entry
 
-        walk(self.root, "root")
-        check_batch()
-        mass = sum(e.cf.count for e in seen)
+        def label(k: int) -> str:  # the path of the entry at walk position k
+            return f"{paths[node_of[k]]}[{k - first[k]}]"
+
+        listed = np.bincount(rows, minlength=self._n)
+        if (bad := np.flatnonzero(listed != 1)).size:
+            issues.append(f"{bad.size} entries not listed exactly once under the root "
+                          f"(entry {bad[0]}: {listed[bad[0]]} times)")
+        fresh = np.zeros(self._n, dtype=bool)  # a row the cache table lacks counts as stale
+        cached = min(self._n, len(self._cent))
+        for lo in range(0, cached, AUDIT_BATCH_ROWS):
+            hi = min(lo + AUDIT_BATCH_ROWS, cached)
+            fresh[lo:hi] = (self._cent[lo:hi] == self._ls[lo:hi] / count[lo:hi, None]).all(axis=1)
+        for k in dict.fromkeys(node_of[~fresh[rows]].tolist()):  # once per node
+            issues.append(f"{paths[k]}: stale centroid cache")
+
+        leaves = np.flatnonzero(child[rows] < 0)  # walk positions of the leaf entries
+        n = count[rows[leaves]]
+        r = _radii(n, self._ls[rows[leaves]], self._ss[rows[leaves]])
+        for k in np.flatnonzero((n >= 2) & (r > self.threshold + 1e-9)):
+            issues.append(f"{label(leaves[k])}: radius {r[k]:.6g} > T")
+
+        inner = np.flatnonzero(child[rows] >= 0)  # walk positions of the inner entries
+        kids = [self._nodes[c] for c in child[rows[inner]].tolist()]
+        seg = np.repeat(np.arange(len(kids)), [len(ids) for ids in kids])
+        kids = np.concatenate([rows[:0], *kids])
+
+        def child_sums(col: np.ndarray) -> np.ndarray:
+            out = np.zeros((len(inner), *col.shape[1:]), dtype=col.dtype)
+            np.add.at(out, seg, col[kids])
+            return out
+
+        got, want = count[rows[inner]], child_sums(count)
+        for k in np.flatnonzero(got != want):
+            issues.append(f"{label(inner[k])}: count {got[k]} != child sum {want[k]}")
+        for name, col in (("linear_sum", self._ls), ("square_sum", self._ss)):
+            # np.allclose, row by row
+            close = np.isclose(col[rows[inner]], child_sums(col), rtol=CF_SUM_RTOL, atol=1e-12).all(axis=1)
+            for k in inner[~close]:
+                issues.append(f"{label(k)}: {name} differs from child sum")
+
+        mass = int(n.sum())
         if mass != self.total_points:
             issues.append(f"mass {mass} != inserted {self.total_points}")
-        if set(map(id, seen)) != set(map(id, self._leaf_entries)):
-            issues.append("leaf registry out of sync with tree")
         if self._dominant_alpha is not None:
-            want = {id(e) for e in seen if e.cf.count >= self._dominant_alpha}
-            have = [id(e) for e in self._dominant]
-            if len(have) != len(want) or set(have) != want:  # missing, extra or duplicated
-                issues.append(
-                    f"dominant registry out of sync with leaf counts at alpha {self._dominant_alpha}"
-                )
+            want = np.flatnonzero((child < 0) & (count >= self._dominant_alpha))
+            if not np.array_equal(np.sort(self._dominant), want):  # missing, extra or duplicated
+                issues.append(f"dominant registry out of sync with leaf counts at alpha {self._dominant_alpha}")
         return issues
 
 
@@ -367,7 +376,8 @@ def extract_synopsis(
     dom = tree.dominant_entries(alpha)  # checks alpha, ahead of the emptiness check
     if tree.total_points == 0:
         raise EmptyClusterError("cannot extract a synopsis from an empty tree")
-    dom.sort(key=lambda e: (-e.cf.count, e.seq))
-    cfs = [e.cf.copy() for e in dom] if dom else [tree.root_cf()]
+    count = tree.counts
+    dom.sort(key=lambda e: (-count[e], e))  # ids ascend in creation order
+    cfs = [tree.entry_cf(e) for e in dom] if dom else [tree.root_cf()]
     centroids = np.array([cf.centroid() for cf in cfs])
     return Synopsis(partition_id, cfs, centroids, version)

@@ -113,7 +113,7 @@ def test_criterion_4_cf_correctness(announce):
     for row in pts:
         tree.insert(row)
     root = tree.root_cf()
-    mass = root.count == 100_000 and sum(e.cf.count for e in tree.leaf_entries()) == 100_000
+    mass = root.count == 100_000 and tree.counts[tree.leaf_entries()].sum() == 100_000
     moments = np.allclose(root.centroid(), pts.mean(axis=0), rtol=1e-6) and np.allclose(
         np.sqrt(root.variance()), pts.std(axis=0), rtol=1e-6
     )

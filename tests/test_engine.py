@@ -325,11 +325,12 @@ class TestAudit:
 
     def test_detects_corrupted_leaf_mass(self, rng):
         eng = self._run_engine(rng)
-        eng.partitions[0].tree.leaf_entries()[0].cf.count += 5
+        tree = eng.partitions[0].tree
+        tree._count[tree.leaf_entries()[0]] += 5
         report = eng.audit()
         assert not report.ok
-        assert not report.checks["mass_conservation"] or not report.checks["cf_consistency"]
-        assert report.issues
+        assert not report.checks["mass_conservation"] and not report.checks["cf_consistency"]
+        assert any(i.startswith("partition 1: leaf mass ") for i in report.issues)
 
     @pytest.mark.parametrize("fault", ["count_raised_across_alpha", "duplicate"])
     def test_detects_dominant_registry_fault(self, rng, fault):
@@ -339,16 +340,17 @@ class TestAudit:
         if fault == "duplicate":
             tree._dominant.append(tree._dominant[0])
         else:
-            below = next(e for e in tree.leaf_entries() if e.cf.count < eng.config.alpha)
-            below.cf.count = eng.config.alpha
+            below = next(e for e in tree.leaf_entries() if tree.counts[e] < eng.config.alpha)
+            tree._count[below] = eng.config.alpha
         report = eng.audit()
         assert not report.checks["cf_consistency"]
         assert any("dominant registry out of sync" in i for i in report.issues)
 
     def test_detects_stale_centroid_cache(self, rng):
         eng = self._run_engine(rng)
-        root = eng.partitions[2].tree.root
-        root.cents[0] = root.cents[0] * (1.0 + 1e-12)
+        tree = eng.partitions[2].tree
+        e = tree._nodes[tree._root][0]
+        tree._cent[e] = tree._cent[e] * (1.0 + 1e-12)
         report = eng.audit()
         assert not report.checks["cf_consistency"]
         assert "partition 3: root: stale centroid cache" in report.issues

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from synalloc import ClusterFeature, CFTree, EmptyClusterError, VectorError, extract_synopsis, synopsis
-from synalloc.synopsis import CFEntry, CFNode
 
 
 # ---------------------------------------------------------------- oracles
@@ -24,25 +23,31 @@ def brute_radius(points):
     return float(np.sqrt(((pts - c) ** 2).sum(axis=1).mean()))
 
 
-def walked_leaves(node: CFNode) -> list[CFEntry]:
-    """Leaf entries reached by walking the tree, independently of its registries."""
-    if node.is_leaf:
-        return list(node.entries)
-    return [leaf for e in node.entries for leaf in walked_leaves(e.child)]
+def walked_nodes(tree: CFTree, node: int | None = None) -> list[int]:
+    """Id of every node reached from the root through child ids, parents before children."""
+    node = tree._root if node is None else node
+    children = [int(c) for c in tree._child[tree._nodes[node]] if c >= 0]
+    return [node] + [n for c in children for n in walked_nodes(tree, c)]
 
 
-def walked_nodes(node: CFNode) -> list[CFNode]:
-    """Every node of the tree, parents before children."""
-    if node.is_leaf:
-        return [node]
-    return [node] + [n for e in node.entries for n in walked_nodes(e.child)]
+def walked_leaves(tree: CFTree) -> list[int]:
+    """Leaf entry ids reached by walking the tree, independently of ``leaf_entries``."""
+    return [int(e) for n in walked_nodes(tree) for e in tree._nodes[n] if tree._child[e] < 0]
 
 
 def naive_synopsis(tree: CFTree, alpha: int) -> list[ClusterFeature]:
     """Reference extraction: scan every leaf, keep count >= alpha, sort, root fallback."""
-    dom = [e for e in walked_leaves(tree.root) if e.cf.count >= alpha]
-    dom.sort(key=lambda e: (-e.cf.count, e.seq))
-    return [e.cf for e in dom] if dom else [tree.root_cf()]
+    cfs = [tree.entry_cf(e) for e in sorted(walked_leaves(tree))]  # ids ascend in creation order
+    dom = sorted((cf for cf in cfs if cf.count >= alpha), key=lambda cf: -cf.count)  # stable
+    return dom or [tree.root_cf()]
+
+
+def merge_fold(cfs: list[ClusterFeature]) -> ClusterFeature:
+    """The CFs merged left to right."""
+    out = cfs[0]
+    for cf in cfs[1:]:
+        out = out.merge(cf)
+    return out
 
 
 def cf_of(points) -> ClusterFeature:
@@ -151,7 +156,7 @@ class TestCFTree:
             tree.insert(np.array(p))
         entries = tree.leaf_entries()
         assert len(entries) == 1
-        cf = entries[0].cf
+        cf = tree.entry_cf(entries[0])
         assert cf.count == 3
         assert np.array_equal(cf.linear_sum, [5.0, 7.0])
         assert np.array_equal(cf.square_sum, [11.0, 19.0])
@@ -171,10 +176,7 @@ class TestCFTree:
         assert tree.root_cf().count == 10
 
     def test_nearest_breaks_ties_toward_lowest_index(self):
-        cents = ClusterFeature.centroids_of(
-            [ClusterFeature.from_point([0.0]), ClusterFeature.from_point([2.0])]
-        )
-        assert CFTree._nearest(cents, np.array([1.0])) == 0
+        assert CFTree._nearest(np.array([[0.0], [2.0]]), np.array([1.0])) == 0
 
     def test_insert_reports_new_vs_absorbed(self):
         tree = CFTree(dimension=1, threshold=5.0)
@@ -188,9 +190,7 @@ class TestCFTree:
         for row in rng.uniform(0.0, 12.0, size=(300, 3)):
             tree.insert(row)
 
-        assert sorted(id(e) for e in walked_leaves(tree.root)) == sorted(
-            id(e) for e in tree.leaf_entries()
-        )
+        assert sorted(walked_leaves(tree)) == tree.leaf_entries().tolist()
 
     def test_mass_conservation_random_inserts(self, rng):
         tree = CFTree(dimension=2, threshold=0.5, branching_factor=5)
@@ -198,7 +198,7 @@ class TestCFTree:
         for row in pts:
             tree.insert(row)
         assert tree.root_cf().count == 1000
-        assert sum(e.cf.count for e in tree.leaf_entries()) == 1000
+        assert tree.counts[tree.leaf_entries()].sum() == 1000
         assert np.allclose(tree.root_cf().linear_sum, pts.sum(axis=0), rtol=1e-9)
         assert tree.consistency_issues() == []
 
@@ -235,16 +235,34 @@ class TestCFTree:
         tree = CFTree(dimension=len(pts[0]), threshold=threshold, branching_factor=branching)
         for row in pts:
             tree.insert(row)
-            for node in walked_nodes(tree.root):
-                want = ClusterFeature.centroids_of([e.cf for e in node.entries])
-                assert node.cents.shape == want.shape
-                assert node.cents.tobytes() == want.tobytes()
+            for node in walked_nodes(tree):
+                ids = tree._nodes[node]
+                want = [tree.entry_cf(e).centroid() for e in ids]
+                assert tree._cent[ids].tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("branching", [3, 12])
+    def test_sums_fold_in_entry_order_at_dimension_one(self, rng, branching):
+        """The root CF and every parent entry a split makes equal an in-order merge, bit for bit.
+
+        At dimension 1 numpy's ``sum(axis=0)`` adds pairwise, which can differ from the merge.
+        """
+        tree = CFTree(dimension=1, threshold=0.05, branching_factor=branching)
+        for x in rng.uniform(0.0, 100.0, size=(600, 1)):
+            rows_before = tree._n
+            tree.insert(x)
+            checks = [(tree.root_cf(), tree._nodes[tree._root])]  # (CF, the rows it must fold)
+            checks += [(tree.entry_cf(e), tree._nodes[tree._child[e]])  # parent rows this insert made
+                       for e in range(rows_before, tree._n) if tree._child[e] >= 0]
+            for got, ids in checks:
+                want = merge_fold([tree.entry_cf(e) for e in ids])
+                assert got.count == want.count
+                assert got.linear_sum.tobytes() == want.linear_sum.tobytes()
+                assert got.square_sum.tobytes() == want.square_sum.tobytes()
+        assert tree.height() > 2
 
     @staticmethod
-    def _audited_tree(rng, monkeypatch, batch):
-        """A tree of height > 2; the audit checks ``batch`` rows per numpy call (None: default)."""
-        if batch is not None:
-            monkeypatch.setattr(synopsis, "AUDIT_BATCH_ROWS", batch)
+    def _audited_tree(rng):
+        """A tree of height > 2."""
         tree = CFTree(dimension=2, threshold=0.5, branching_factor=3)
         for row in rng.uniform(0.0, 10.0, size=(60, 2)):
             tree.insert(row)
@@ -254,21 +272,66 @@ class TestCFTree:
     @pytest.mark.parametrize("batch", [1, 7, None])
     @pytest.mark.parametrize("fault", ["root", "leaf", "missing_row"])
     def test_audit_reports_a_stale_centroid_cache(self, rng, monkeypatch, batch, fault):
-        tree = self._audited_tree(rng, monkeypatch, batch)
-        node = tree.root if fault == "root" else walked_nodes(tree.root)[-1]
-        if fault == "missing_row":
-            node.cents = node.cents[:-1]
+        """The cache check compares ``batch`` rows per numpy call (None: the default)."""
+        if batch is not None:
+            monkeypatch.setattr(synopsis, "AUDIT_BATCH_ROWS", batch)
+        tree = self._audited_tree(rng)
+        if fault == "missing_row":  # the cache table lacks the newest row
+            tree._cent = tree._cent[: tree._n - 1]
         else:
-            node.cents[-1, 0] = np.nextafter(node.cents[-1, 0], np.inf)
+            node = tree._root if fault == "root" else walked_nodes(tree)[-1]
+            e = tree._nodes[node][-1]
+            tree._cent[e, 0] = np.nextafter(tree._cent[e, 0], np.inf)
         stale = [i for i in tree.consistency_issues() if "stale centroid cache" in i]
         assert len(stale) == 1
         assert (stale[0] == "root: stale centroid cache") == (fault == "root")
 
-    @pytest.mark.parametrize("batch", [1, 7, None])
+    NODE_LIST_FAULTS = {  # fault -> what the audit must report
+        "listed_twice": "entries not listed exactly once under the root",
+        "unlisted": "entries not listed exactly once under the root",
+        "leaf_above_leaf_depth": "root: leaf entry at depth 0 of a height-",
+        "inner_at_leaf_depth": "inner entry at depth",
+        "empty_node": "!= child sum 0",
+        "overfull": "entries > B",
+    }
+
+    @pytest.mark.parametrize("fault", list(NODE_LIST_FAULTS))
+    def test_audit_reports_a_broken_node_list(self, rng, fault):
+        tree = self._audited_tree(rng)
+        node = walked_nodes(tree)[-1]  # the last leaf node: off the path height() follows
+        ids = tree._nodes[node]
+        if fault == "listed_twice":
+            tree._nodes[node] = np.append(ids, ids[0])
+        elif fault == "unlisted":
+            tree._nodes[node] = ids[:-1]
+        elif fault == "leaf_above_leaf_depth":
+            tree._child[tree._nodes[tree._root][-1]] = -1
+        elif fault == "inner_at_leaf_depth":
+            tree._child[ids[-1]] = node
+        elif fault == "empty_node":
+            tree._nodes[node] = ids[:0]
+        else:
+            tree.branching_factor = 1
+        assert any(self.NODE_LIST_FAULTS[fault] in i for i in tree.consistency_issues())
+
+    @pytest.mark.parametrize("fault", ["radius", "count", "mass"])
+    def test_audit_reports_a_broken_entry_row(self, rng, fault):
+        tree = self._audited_tree(rng)
+        leaf = next(e for e in tree.leaf_entries() if tree.counts[e] >= 2)
+        if fault == "radius":  # spread the points far beyond the threshold
+            tree._ss[leaf] *= 4.0
+        elif fault == "count":
+            tree._count[tree._nodes[tree._root][0]] += 1
+        else:
+            tree.total_points += 1
+        issue = {"radius": "> T", "count": "count", "mass": "mass"}[fault]
+        assert [i for i in tree.consistency_issues() if issue in i]
+
     @pytest.mark.parametrize("name", ["linear_sum", "square_sum"])
-    def test_audit_reports_a_parent_sum_that_differs_from_its_children(self, rng, monkeypatch, batch, name):
-        tree = self._audited_tree(rng, monkeypatch, batch)
-        getattr(tree.root.entries[1].cf, name)[1] *= 1.0 + 1e-6
+    def test_audit_reports_a_parent_sum_that_differs_from_its_children(self, rng, name):
+        tree = self._audited_tree(rng)
+        column = {"linear_sum": tree._ls, "square_sum": tree._ss}[name]
+        column[tree._nodes[tree._root][1], 1] *= 1.0 + 1e-6
         assert [i for i in tree.consistency_issues() if "differs" in i] == [
             f"root[1]: {name} differs from child sum"
         ]
@@ -291,6 +354,20 @@ class TestCFTree:
             CFTree(dimension=2, threshold=-1.0)
         with pytest.raises(ConfigError):
             CFTree(dimension=2, threshold=1.0, branching_factor=1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("dimension", 0), ("threshold", float("nan")), ("branching_factor", 1),
+    ])
+    def test_tree_and_engine_config_reject_the_same_tree_params(self, field, value):
+        from synalloc import ConfigError, EngineConfig
+
+        message = {"dimension": "dimension must be >= 1", "threshold": "threshold must be positive",
+                   "branching_factor": "branching factor must be >= 2"}[field]
+        params = {"dimension": 2, "threshold": 1.0, "branching_factor": 4, field: value}
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            CFTree(**params)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            EngineConfig(**params)
 
 
 # ---------------------------------------------------------------- synopsis
@@ -422,13 +499,13 @@ class TestDominantRegistry:
         extract_synopsis(tree, 1, partition_id=1, version=1)
         for v in (10.0, 20.0, 0.0):
             tree.insert(np.array([v]))
-        assert sorted(e.seq for e in tree.dominant_entries(1)) == [0, 1, 2]
+        assert sorted(tree.dominant_entries(1)) == [0, 1, 2]
         assert tree.consistency_issues() == []
 
     def test_detects_count_raised_across_alpha(self, rng):
         tree = self._tracked_tree(rng)
-        below = next(e for e in tree.leaf_entries() if e.cf.count < self.ALPHA)
-        below.cf.count = self.ALPHA
+        below = next(e for e in tree.leaf_entries() if tree.counts[e] < self.ALPHA)
+        tree._count[below] = self.ALPHA
         assert self._registry_issues(tree)
 
     def test_detects_duplicate_entry(self, rng):
@@ -438,5 +515,5 @@ class TestDominantRegistry:
 
     def test_detects_extra_entry(self, rng):
         tree = self._tracked_tree(rng)
-        tree._dominant.append(next(e for e in tree.leaf_entries() if e.cf.count < self.ALPHA))
+        tree._dominant.append(next(e for e in tree.leaf_entries() if tree.counts[e] < self.ALPHA))
         assert self._registry_issues(tree)
