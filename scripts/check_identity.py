@@ -21,6 +21,9 @@ length:
   every crossing is published at once;
 - preset 2 at alpha 1 (seed 3), where every leaf entry is dominant from
   the moment it is created;
+- a custom stream of 5000 vectors with mean 0 and std 5 (seed 6): about
+  half of its components are clamped to 0, so the metrics take the
+  minimum and absolute difference at zero;
 - preset 2 refreshing every 3 inserts (seed 4), so that the message count
   in the JSON report comes from a batched refresh schedule;
 - ``validate --seed 9``, once as is and once refreshing every 7 inserts;
@@ -63,6 +66,8 @@ def cases() -> list[tuple[str, list[str]]]:
     out.append(("run-alpha-crossing", ["run", "--scenario", "1", "--seed", "2", "--partitions", "16", "--alpha", "5",
                                        "--threshold", "4.0", "--refresh", "1", *outputs]))
     out.append(("run-alpha1", ["run", "--scenario", "2", "--seed", "3", "--alpha", "1", *outputs]))
+    out.append(("run-custom-mu0-sigma5", ["run", "--scenario", "custom", "--mu", "0", "--sigma", "5",
+                                          "--vectors", "5000", "--seed", "6", *outputs]))
     out.append(("run-s2-seed4-refresh3", ["run", "--scenario", "2", "--seed", "4", "--refresh", "3", *outputs]))
     out.append(("validate-seed9", ["validate", "--seed", "9"]))
     out.append(("validate-seed9-refresh7", ["validate", "--seed", "9", "--refresh", "7"]))

@@ -2,7 +2,7 @@
 
 Each partition keeps a CF-tree plus the synopsis last extracted from it.
 Allocation reads only the synopses (never raw data or live trees): their
-centroids are stacked into one matrix, rebuilt whenever a synopsis is
+centroids are stacked into one matrix, kept current as synopses are
 published, and every partition is scored in one pass over it. The chosen
 partition then absorbs the vector and, every ``refresh_interval`` inserts,
 re-extracts and "disseminates" its synopsis under the next version (not
@@ -138,8 +138,17 @@ class AllocationEngine:
         self._stack_synopses()
 
     def _stack_synopses(self) -> None:
-        """Rebuild the routing matrix; called whenever a synopsis is published."""
+        """Rebuild the routing matrix from every partition's current synopsis."""
         self._centroids, self._offsets = stack_centroids(self.synopses)
+
+    def _publish(self, pid: int, syn: Synopsis) -> None:
+        """Make ``syn`` partition ``pid``'s synopsis and bring the routing matrix up to date."""
+        self.partitions[pid - 1].current_synopsis = syn
+        lo, hi = self._offsets[pid - 1], self._offsets[pid]
+        if hi - lo == len(syn.centroids):  # same row count: patch the partition's rows in place
+            self._centroids[lo:hi] = syn.centroids
+        else:
+            self._stack_synopses()
 
     # -- queries -------------------------------------------------------
 
@@ -191,10 +200,9 @@ class AllocationEngine:
         p = self.partitions[chosen - 1]
         p.tree.insert(v)
         if (p.tree.total_points - p.initial_count) % self.config.refresh_interval == 0:
-            p.current_synopsis = extract_synopsis(
+            self._publish(chosen, extract_synopsis(
                 p.tree, self.config.alpha, chosen, p.current_synopsis.version + 1
-            )
-            self._stack_synopses()
+            ))
         rec = AllocationRecord(self._t, v, chosen, scores.similarities)
         self._t += 1
         return rec

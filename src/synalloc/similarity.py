@@ -121,22 +121,30 @@ def _dissim_rows(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     identical (0), one all-zero vector against any other as disjoint (1).
     Round-off outside [0, 1] is clipped.
     """
+    rows = centroids.shape[0]
     sx = float(x.sum())
-    sc = centroids.sum(axis=1)
-    absdiff = np.abs(centroids - x).sum(axis=1)
-    smin = np.minimum(centroids, x).sum(axis=1)
+    # One reduction for the three sums; each row is summed as centroids.sum(axis=1) would.
+    block = np.empty((3, rows, x.shape[0]))
+    np.abs(np.subtract(centroids, x, out=block[0]), out=block[0])
+    np.minimum(centroids, x, out=block[1])
+    block[2] = centroids
+    absdiff, smin, sc = block.sum(axis=2)
 
+    out = np.empty((rows, 3))
     tot = sx + sc
-    denom1 = tot + absdiff
-    o1 = np.divide(2.0 * absdiff, denom1, out=np.zeros_like(sc), where=denom1 > 0)
-    o2 = np.divide(absdiff, tot, out=np.zeros_like(sc), where=tot > 0)
-
-    if sx == 0.0:
-        o3 = np.where(sc > 0, 1.0, 0.0)
-    else:
-        half = smin / sx + np.divide(smin, sc, out=np.zeros_like(sc), where=sc > 0)
-        o3 = np.where(sc > 0, 1.0 - 0.5 * half, 1.0)
-    return np.clip(np.stack([o1, o2, o3], axis=1), 0.0, 1.0)
+    # Inputs are non-negative, so a zero denominator needs sc == 0: those rows are set below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(2.0 * absdiff, tot + absdiff, out=out[:, 0])
+        np.divide(absdiff, tot, out=out[:, 1])
+        out[:, 2] = 1.0 if sx == 0.0 else 1.0 - 0.5 * (smin / sx + smin / sc)
+    empty = sc == 0.0
+    if empty.any():
+        if sx == 0.0:
+            out[empty] = 0.0
+        else:
+            out[empty, 2] = 1.0
+    np.maximum(out, 0.0, out=out)
+    return np.minimum(out, 1.0, out=out)
 
 
 def _pool_rows(dissims: np.ndarray, theta: float, k: float) -> tuple[np.ndarray, np.ndarray]:
@@ -160,9 +168,10 @@ def _pool_rows(dissims: np.ndarray, theta: float, k: float) -> tuple[np.ndarray,
         # 1.0000001489460608e-155] has a computed z of 1.8708.
         w = np.full(dissims.shape, 1.0 / n)
         return w, (dissims * w).sum(axis=1)
-    m = dissims.mean(axis=1, keepdims=True)
-    d = dissims.std(axis=1, keepdims=True)
-    outlier = np.abs(dissims - m) > k * d
+    # np.mean's and np.std's own steps, with the deviations kept for the test.
+    dev = dissims - dissims.sum(axis=1, keepdims=True) / n
+    d = np.sqrt(np.square(dev).sum(axis=1, keepdims=True) / n)
+    outlier = np.abs(dev) > k * d
     n_out = outlier.sum(axis=1, keepdims=True)
     share = (1.0 - n_out * theta) / np.maximum(n - n_out, 1)
     w = np.where(outlier, theta, share)

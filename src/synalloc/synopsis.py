@@ -275,22 +275,35 @@ class CFTree:
         return ClusterFeature(*self._fold(self._nodes[self._root]))
 
     def height(self) -> int:
-        h, ids = 1, self._nodes[self._root]
+        return self._height(self._nodes)
+
+    def _height(self, nodes: list[np.ndarray]) -> int:
+        h, ids = 1, nodes[self._root]
         while len(ids) and self._child[ids[0]] >= 0:
             h += 1
-            ids = self._nodes[self._child[ids[0]]]
+            ids = nodes[self._child[ids[0]]]
         return h
 
     def consistency_issues(self) -> list[str]:
         """Full-tree audit; returns human-readable violations (empty = healthy)."""
         issues: list[str] = []
         count, child = self.counts, self._child[: self._n]
-        leaf_depth = self.height() - 1
+        nodes = self._nodes  # what the audit reads: ids outside the table dropped, and reported by the walk
+        off_table: dict[int, list[int]] = {}
+        listed_ids = np.concatenate(nodes)
+        if ((listed_ids < 0) | (listed_ids >= self._n)).any():
+            nodes = list(nodes)
+            for k, ids in enumerate(self._nodes):
+                if (bad := (ids < 0) | (ids >= self._n)).any():
+                    off_table[k], nodes[k] = ids[bad].tolist(), ids[~bad]
+        leaf_depth = self._height(nodes) - 1
         paths: list[str] = []  # per walked node
         walked: list[np.ndarray] = []  # its entry ids
 
         def walk(node: int, path: str, depth: int) -> None:
-            ids = self._nodes[node]
+            ids = nodes[node]
+            if node in off_table:
+                issues.append(f"{path}: entry ids {off_table[node]} outside the table of {self._n} rows")
             paths.append(path)
             walked.append(ids)
             if len(ids) > self.branching_factor:
@@ -331,7 +344,7 @@ class CFTree:
             issues.append(f"{label(leaves[k])}: radius {r[k]:.6g} > T")
 
         inner = np.flatnonzero(child[rows] >= 0)  # walk positions of the inner entries
-        kids = [self._nodes[c] for c in child[rows[inner]].tolist()]
+        kids = [nodes[c] for c in child[rows[inner]].tolist()]
         seg = np.repeat(np.arange(len(kids)), [len(ids) for ids in kids])
         kids = np.concatenate([rows[:0], *kids])
 

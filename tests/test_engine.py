@@ -18,6 +18,7 @@ from synalloc import (
     ensemble_similarity,
     extract_synopsis,
 )
+from synalloc.engine import stack_centroids
 import synalloc.similarity
 
 from conftest import make_synopsis
@@ -356,6 +357,18 @@ class TestAudit:
         assert "partition 3: root: stale centroid cache" in report.issues
         assert report.checks["mass_conservation"] and report.checks["synopsis_alpha_compliance"]
 
+    @pytest.mark.parametrize("bad_id", ["past_table", "negative"])
+    def test_reports_a_node_id_outside_the_entry_table(self, rng, bad_id):
+        eng = self._run_engine(rng)
+        tree = eng.partitions[0].tree
+        leaf_node = next(k for k, ids in enumerate(tree._nodes) if len(ids) and tree._child[ids[0]] < 0)
+        e = tree._n + 5 if bad_id == "past_table" else -1
+        tree._nodes[leaf_node] = np.append(tree._nodes[leaf_node], e)
+        report = eng.audit()
+        assert not report.checks["cf_consistency"]
+        assert any(f"entry ids [{e}] outside the table of {tree._n} rows" in i for i in report.issues)
+        assert report.checks["mass_conservation"] and report.checks["synopsis_alpha_compliance"]
+
     def test_detects_corrupted_synopsis_centroid(self, rng):
         eng = self._run_engine(rng)
         eng.partitions[1].current_synopsis.centroids[0] += 99.0
@@ -399,18 +412,31 @@ class TestAudit:
         assert not report.checks["weight_convexity"]
         assert "partition 2: negative published centroid" in report.issues
 
-    @pytest.mark.parametrize("fault", ["matrix", "offsets", "skipped_rebuild"])
+    @pytest.mark.parametrize("fault", ["matrix", "offsets", "skipped_rebuild", "skipped_write"])
     def test_detects_stale_routing_matrix(self, rng, fault, monkeypatch):
         # Root-fallback synopses: every ingest moves the chosen partition's mean.
         initial = [rng.uniform(0, 10, size=(30, 2)) + 10 * i for i in range(2)]
         eng = AllocationEngine(EngineConfig(n_partitions=2, dimension=2, alpha=1000), initial)
+        publish = eng._publish
         if fault == "matrix":
             eng._centroids[1, 0] += 1e-9
         elif fault == "offsets":
             eng._offsets[1] += 1
-        else:
-            monkeypatch.setattr(eng, "_stack_synopses", lambda: None)
+        elif fault == "skipped_rebuild":  # the synopsis is published, the matrix left as it was
+            monkeypatch.setattr(eng, "_publish", lambda pid, syn: setattr(eng.partitions[pid - 1], "current_synopsis", syn))
             eng.ingest([3.0, 4.0])
+        else:  # a publish that still rebuilds when the row count changes, but writes no rows in place
+            def publish_without_write(pid, syn):
+                if len(syn.centroids) == len(eng.synopses[pid - 1].centroids):
+                    eng.partitions[pid - 1].current_synopsis = syn
+                else:
+                    publish(pid, syn)
+
+            monkeypatch.setattr(eng, "_publish", publish_without_write)
+            install_synopses(eng, [[[3.0, 4.0], [5.0, 5.0]], [[15.0, 15.0]]])
+            eng.ingest([3.0, 4.0])  # two rows back to the one-row fallback: a rebuild
+            assert eng.audit().ok and eng._offsets.tolist() == [0, 1, 2]
+            eng.ingest([3.0, 4.0])  # one row to one row: the skipped write
         report = eng.audit()
         assert not report.checks["synopsis_alpha_compliance"]
         assert "routing matrix differs from the published centroids" in report.issues
@@ -487,6 +513,33 @@ def published_synopses(draw):
     theta = draw(st.sampled_from([0.05, 0.1, 0.3]))
     k = draw(st.sampled_from([1.0, 1.35, 3.0]))  # below sqrt(2) the outlier rule can fire
     return partitions, x, theta, k
+
+
+class TestRoutingMatrix:
+    """The matrix is patched in place or rebuilt on each publish; it must equal a fresh stack."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_partitions=st.integers(1, 16),
+        alpha_refresh=st.one_of(
+            st.just((1000, 1)),  # root fallback: every publish keeps one row
+            st.tuples(st.integers(1, 5), st.integers(1, 7)),  # row counts grow as entries cross alpha
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_a_rebuild_after_every_ingest(self, seed, n_partitions, alpha_refresh):
+        alpha, refresh = alpha_refresh
+        rng = np.random.default_rng(seed)
+        initial = [rng.uniform(0, 4, size=(8, 2)) + 3 * i for i in range(n_partitions)]
+        cfg = EngineConfig(n_partitions=n_partitions, dimension=2, alpha=alpha, threshold=1.0,
+                           refresh_interval=refresh)
+        eng = AllocationEngine(cfg, initial)
+        for x in rng.uniform(0, 3 * n_partitions + 1, size=(60, 2)):
+            eng.ingest(x)
+            centroids, offsets = stack_centroids(eng.synopses)
+            assert (eng._centroids.shape, eng._centroids.dtype) == (centroids.shape, centroids.dtype)
+            assert eng._centroids.tobytes() == centroids.tobytes()
+            assert (eng._offsets.dtype, eng._offsets.tobytes()) == (offsets.dtype, offsets.tobytes())
 
 
 class TestFusedScoring:

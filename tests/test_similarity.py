@@ -1,5 +1,7 @@
 """Dissimilarity metrics, outlier-aware weights, and the fused similarity."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +19,7 @@ from synalloc import (
     opinion_pool,
     sorensen_dissim,
 )
-from synalloc.similarity import METRICS, WeightVector, _pool_rows
+from synalloc.similarity import METRICS, WeightVector, _dissim_rows, _pool_rows
 
 from conftest import make_synopsis
 from test_engine import naive_metrics, naive_pool
@@ -90,6 +92,88 @@ class TestMetrics:
         outs = all_dissims([3.0, 1.0], [1.0, 3.0])
         assert [o.metric for o in outs] == list(METRICS)
         assert [o.dissimilarity for o in outs] == pytest.approx([2 / 3, 0.5, 0.5])
+
+
+# ---------------------------------------------------------------- fused kernel
+
+def reference_dissim_rows(x, centroids):
+    """The kernel as three separate sums and masked divisions: the reference for ``_dissim_rows``."""
+    sx = float(x.sum())
+    sc = centroids.sum(axis=1)
+    absdiff = np.abs(centroids - x).sum(axis=1)
+    smin = np.minimum(centroids, x).sum(axis=1)
+
+    tot = sx + sc
+    denom1 = tot + absdiff
+    o1 = np.divide(2.0 * absdiff, denom1, out=np.zeros_like(sc), where=denom1 > 0)
+    o2 = np.divide(absdiff, tot, out=np.zeros_like(sc), where=tot > 0)
+
+    if sx == 0.0:
+        o3 = np.where(sc > 0, 1.0, 0.0)
+    else:
+        half = smin / sx + np.divide(smin, sc, out=np.zeros_like(sc), where=sc > 0)
+        o3 = np.where(sc > 0, 1.0 - 0.5 * half, 1.0)
+    return np.clip(np.stack([o1, o2, o3], axis=1), 0.0, 1.0)
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@st.composite
+def kernel_cases(draw):
+    """A vector and centroid rows at one magnitude, with zeros placed on purpose."""
+    m, rows = draw(st.integers(1, 40)), draw(st.integers(1, 400))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, m) * scale
+    centroids = rng.uniform(0.0, 1.0, (rows, m)) * scale
+    if draw(st.booleans()):  # near-copies of x, so that differences are small
+        near = rng.random(rows) < 0.5
+        centroids[near] = x * (1.0 + rng.uniform(-1e-9, 1e-9, (int(near.sum()), m)))
+    if draw(st.booleans()):
+        x[:] = 0.0
+    if draw(st.booleans()):
+        centroids[rng.random(rows) < 0.3] = 0.0
+    if draw(st.booleans()):  # zero columns in both
+        cols = rng.random(m) < 0.5
+        x[cols] = 0.0
+        centroids[:, cols] = 0.0
+    return x, centroids
+
+
+class TestFusedKernel:
+    @given(kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_bit_for_bit(self, case):
+        x, centroids = case
+        with np.errstate(all="ignore"):  # sums near 1e300 overflow in both
+            assert_same_bits(_dissim_rows(x, centroids), reference_dissim_rows(x, centroids))
+
+    def test_does_not_depend_on_the_memory_layout(self, rng):
+        # The sums are taken in one C-ordered block, so a Fortran-ordered
+        # matrix sums each row in the same order (pairwise from M = 8 on).
+        x = rng.uniform(0, 1, 20)
+        centroids = rng.uniform(0, 1e3, (30, 20))
+        got = _dissim_rows(x, np.asfortranarray(centroids))
+        assert got.tobytes() == _dissim_rows(x, centroids).tobytes()
+        assert got.tobytes() == reference_dissim_rows(x, centroids).tobytes()
+
+    @pytest.mark.parametrize("x_zero", [False, True])
+    def test_ordinary_inputs_raise_no_warning(self, rng, x_zero):
+        x = np.zeros(5) if x_zero else rng.uniform(0, 10, 5)
+        centroids = rng.uniform(0, 10, (6, 5))
+        centroids[[1, 4]] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _dissim_rows(x, centroids)
+        assert_same_bits(got, reference_dissim_rows(x, centroids))
+        assert got[[1, 4]].tolist() == [[0.0 if x_zero else 1.0] * 3] * 2  # identical / disjoint
 
 
 def _vector_or_zero(d):
@@ -235,6 +319,26 @@ class TestOutlierRuleSkip:
         if k * k < 2 * n:  # sqrt(2n) squared can round below 2n
             k = float(np.nextafter(k, np.inf))
         assert k * k >= 2 * n
+        w, pooled = _pool_rows(dissims, theta, k)
+        want_w, want_pooled = full_rule(dissims, theta, k)
+        assert w.tobytes() == want_w.tobytes()
+        assert pooled.tobytes() == want_pooled.tobytes()
+
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+        st.lists(outcome_rows(n), min_size=1, max_size=8),
+        st.booleans(),
+        st.floats(1e-3, 0.999 / n),
+        st.floats(0.0, 1.0, exclude_max=True).map(lambda f: float(np.sqrt(2 * n)) * f),
+    )))
+    @settings(max_examples=400, deadline=None)
+    def test_full_path_matches_the_full_rule_bit_for_bit(self, case):
+        rows, subnormal, theta, k = case
+        n = len(rows[0])
+        if subnormal and n == 3:
+            rows.append(SUBNORMAL_SPREAD_ROW)
+        dissims = np.array(rows)
+        assume(k > 0.0)
+        assert k * k < 2 * n
         w, pooled = _pool_rows(dissims, theta, k)
         want_w, want_pooled = full_rule(dissims, theta, k)
         assert w.tobytes() == want_w.tobytes()

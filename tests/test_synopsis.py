@@ -293,6 +293,9 @@ class TestCFTree:
         "inner_at_leaf_depth": "inner entry at depth",
         "empty_node": "!= child sum 0",
         "overfull": "entries > B",
+        "id_past_table": "outside the table of",
+        "negative_id": "entry ids [-1] outside the table of",
+        "root_id_past_table": "root: entry ids [",
     }
 
     @pytest.mark.parametrize("fault", list(NODE_LIST_FAULTS))
@@ -310,6 +313,12 @@ class TestCFTree:
             tree._child[ids[-1]] = node
         elif fault == "empty_node":
             tree._nodes[node] = ids[:0]
+        elif fault == "id_past_table":
+            tree._nodes[node] = np.append(ids, tree._n + 5)
+        elif fault == "negative_id":
+            tree._nodes[node] = np.append(ids, -1)
+        elif fault == "root_id_past_table":  # first, where height() looks
+            tree._nodes[tree._root] = np.insert(tree._nodes[tree._root], 0, len(tree._child))
         else:
             tree.branching_factor = 1
         assert any(self.NODE_LIST_FAULTS[fault] in i for i in tree.consistency_issues())
