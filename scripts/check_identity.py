@@ -26,7 +26,9 @@ length:
   minimum and absolute difference at zero;
 - preset 2 refreshing every 3 inserts (seed 4), so that the message count
   in the JSON report comes from a batched refresh schedule;
-- ``validate --seed 9``, once as is and once refreshing every 7 inserts;
+- ``validate --seed 9``, once as is, once refreshing every 7 inserts and
+  once in the multi-centroid configuration, whose audits check hundreds of
+  published rows;
 - branching factor 3 (presets 1 and 2, the alpha-crossing configuration
   and ``validate --seed 9``), so that trees grow deep and a node splits
   every few inserts, and branching factor 16 (preset 3 and the
@@ -71,6 +73,8 @@ def cases() -> list[tuple[str, list[str]]]:
     out.append(("run-s2-seed4-refresh3", ["run", "--scenario", "2", "--seed", "4", "--refresh", "3", *outputs]))
     out.append(("validate-seed9", ["validate", "--seed", "9"]))
     out.append(("validate-seed9-refresh7", ["validate", "--seed", "9", "--refresh", "7"]))
+    out.append(("validate-seed9-multi-centroid", ["validate", "--seed", "9", *MULTI_CENTROID,
+                                                  "--outlier-k", "1.35"]))
     out.extend((f"run-s{scenario}-seed{scenario}-branching3",
                 ["run", "--scenario", str(scenario), "--seed", str(scenario), "--branching", "3", *outputs])
                for scenario in (1, 2))

@@ -24,7 +24,7 @@ from .similarity import (
     EnsembleScore,
     SegmentScores,
     _check_weight_params,
-    ensemble_similarity,
+    ensemble_similarity,  # unused here; bench/spans.py patches synalloc.engine.ensemble_similarity
     score_segments,
 )
 from .synopsis import CFTree, Synopsis, _check_tree_params, extract_synopsis
@@ -238,56 +238,54 @@ class AllocationEngine:
                 cf_ok = False
                 issues.append(f"partition {pid}: {issue}")
 
-        alpha_ok = True
+        alpha_ok = weights_ok = stackable = True
         for pid, p in numbered:
             syn = p.current_synopsis
-            below = [cf for cf in syn.dominant if cf.count < cfg.alpha]
-            if below and len(syn.dominant) != 1:
+            counts = np.array([cf.count for cf in syn.dominant], dtype=np.int64)
+            if (counts < cfg.alpha).any() and len(counts) != 1:
                 alpha_ok = False
                 issues.append(f"partition {pid}: sub-alpha CF in synopsis")
-            for cf, cent in zip(syn.dominant, syn.centroids):
-                if not np.allclose(cent, cf.centroid(), rtol=1e-12, atol=1e-12):
-                    alpha_ok = False
-                    issues.append(f"partition {pid}: stored centroid drifted")
-            if (syn.centroids < 0).any():  # the router scores centroids unchecked
+            if syn.centroids.shape != (len(counts), cfg.dimension) or not len(counts):
                 alpha_ok = False
-                issues.append(f"partition {pid}: negative published centroid")
-        centroids, offsets = stack_centroids(self.synopses)
-        if not (
-            np.array_equal(self._centroids, centroids)
-            and np.array_equal(self._offsets, offsets)
-        ):
-            alpha_ok = False
-            issues.append("routing matrix differs from the published centroids")
+                stackable &= syn.centroids.shape[1:] == (cfg.dimension,) and len(syn.centroids) > 0
+                issues.append(f"partition {pid}: centroid array of shape {syn.centroids.shape} "
+                              f"for {len(counts)} dominant CFs of dimension {cfg.dimension}")
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):  # a count of 0 drifts
+                    want = np.array([cf.linear_sum for cf in syn.dominant]) / counts[:, None]
+                drifted = ~np.isclose(syn.centroids, want, rtol=1e-12, atol=1e-12).all(axis=1)
+                if drifted.any():
+                    alpha_ok = False
+                    issues += [f"partition {pid}: stored centroid drifted"] * int(drifted.sum())
+            if (syn.centroids < 0).any():  # the router scores centroids unchecked: outside the metrics' domain
+                alpha_ok = weights_ok = False
+                issues += [f"partition {pid}: negative published centroid",
+                           f"partition {pid}: domain error: negative synopsis centroid"]
 
-        weights_ok = True
-        scored = []  # (probe label, partition id of each row, weights per row, similarity per row)
-        probe = self.partitions[0].current_synopsis.centroids[0]
-        for pid, p in numbered:  # the public scorer: each partition's best row
-            try:
-                score = ensemble_similarity(probe, p.current_synopsis, cfg.theta, cfg.outlier_k)
-            except VectorError as exc:  # a negative centroid, reported above
-                weights_ok = False
-                issues.append(f"partition {pid}: {exc}")
-                continue
-            scored.append(("", np.array([pid]), score.weights.weights[None, :], np.array([score.similarity])))
-        # The router's kernel: every row against each first centroid and the zero vector.
-        probes = [(f" for partition {pid}'s first centroid", p.current_synopsis.centroids[0])
-                  for pid, p in numbered] + [(" for the zero vector", np.zeros(cfg.dimension))]
-        row_pid = np.repeat(np.arange(1, len(offsets)), np.diff(offsets))
-        for name, x in probes:
-            rows = score_segments(x, centroids, offsets, cfg.theta, cfg.outlier_k)
-            scored.append((name, row_pid, rows.weights, 1.0 - rows.pooled))
-        for name, pids, w, sims in scored:
-            faults = {
-                "non-convex weights": (w < 0).any(axis=1) | (w > 1).any(axis=1)
-                | (np.abs(w.sum(axis=1) - 1.0) > 1e-12),
-                "similarity out of range": ~((sims >= 0.0) & (sims <= 1.0)),
-            }
-            for fault, rows_hit in faults.items():
-                for pid in dict.fromkeys(pids[rows_hit].tolist()):  # once per partition
-                    weights_ok = False
-                    issues.append(f"partition {pid}: {fault}{name}")
+        if stackable:  # else there is no matrix to compare or probe; the shape issues stand for both
+            centroids, offsets = stack_centroids(self.synopses)
+            if not (
+                np.array_equal(self._centroids, centroids)
+                and np.array_equal(self._offsets, offsets)
+            ):
+                alpha_ok = False
+                issues.append("routing matrix differs from the published centroids")
+            row_pid = np.repeat(np.arange(1, len(offsets)), np.diff(offsets))
+            # The router's kernel: every row against each partition's first centroid and the zero vector.
+            probes = [(f" for partition {pid}'s first centroid", centroids[lo])
+                      for pid, lo in enumerate(offsets[:-1].tolist(), start=1)]
+            for name, x in probes + [(" for the zero vector", np.zeros(cfg.dimension))]:
+                scores = score_segments(x, centroids, offsets, cfg.theta, cfg.outlier_k)
+                w, sims = scores.weights, 1.0 - scores.pooled
+                faults = {
+                    "non-convex weights": (w < 0).any(axis=1) | (w > 1).any(axis=1)
+                    | (np.abs(w.sum(axis=1) - 1.0) > 1e-12),
+                    "similarity out of range": ~((sims >= 0.0) & (sims <= 1.0)),
+                }
+                for fault, rows_hit in faults.items():
+                    for pid in dict.fromkeys(row_pid[rows_hit].tolist()):  # once per partition
+                        weights_ok = False
+                        issues.append(f"partition {pid}: {fault}{name}")
 
         return AuditReport(
             checks={

@@ -278,17 +278,19 @@ class CFTree:
         return self._height(self._nodes)
 
     def _height(self, nodes: list[np.ndarray]) -> int:
-        h, ids = 1, nodes[self._root]
-        while len(ids) and self._child[ids[0]] >= 0:
-            h += 1
-            ids = nodes[self._child[ids[0]]]
-        return h
+        """Levels down the first entries; at most ``len(nodes)``, so a cyclic pointer ends it too."""
+        node = self._root
+        for h in range(1, len(nodes)):
+            ids = nodes[node]
+            if not len(ids) or not 0 <= (node := int(self._child[ids[0]])) < len(nodes):
+                return h
+        return len(nodes)
 
     def consistency_issues(self) -> list[str]:
         """Full-tree audit; returns human-readable violations (empty = healthy)."""
         issues: list[str] = []
         count, child = self.counts, self._child[: self._n]
-        nodes = self._nodes  # what the audit reads: ids outside the table dropped, and reported by the walk
+        nodes = self._nodes  # what the audit reads: ids outside the table dropped, and reported below
         off_table: dict[int, list[int]] = {}
         listed_ids = np.concatenate(nodes)
         if ((listed_ids < 0) | (listed_ids >= self._n)).any():
@@ -296,34 +298,40 @@ class CFTree:
             for k, ids in enumerate(self._nodes):
                 if (bad := (ids < 0) | (ids >= self._n)).any():
                     off_table[k], nodes[k] = ids[bad].tolist(), ids[~bad]
-        leaf_depth = self._height(nodes) - 1
-        paths: list[str] = []  # per walked node
-        walked: list[np.ndarray] = []  # its entry ids
-
-        def walk(node: int, path: str, depth: int) -> None:
-            ids = nodes[node]
-            if node in off_table:
-                issues.append(f"{path}: entry ids {off_table[node]} outside the table of {self._n} rows")
-            paths.append(path)
-            walked.append(ids)
-            if len(ids) > self.branching_factor:
-                issues.append(f"{path}: {len(ids)} entries > B")
-            at_leaf_depth = depth == leaf_depth
-            if ((child[ids] < 0) != at_leaf_depth).any():
-                kind = "inner" if at_leaf_depth else "leaf"
-                issues.append(f"{path}: {kind} entry at depth {depth} of a height-{leaf_depth + 1} tree")
-            if not at_leaf_depth:
-                for i, e in enumerate(ids.tolist()):
-                    if child[e] >= 0:
-                        walk(int(child[e]), f"{path}[{i}]", depth + 1)
-
-        walk(self._root, "root", 0)
-        rows = np.concatenate(walked)  # every entry id, as often as a node lists it
-        node_of = np.repeat(np.arange(len(walked)), [len(ids) for ids in walked])
-        first = np.searchsorted(node_of, node_of)  # walk position of each node's first entry
+        order, paths, depths = [self._root], ["root"], [0]  # per walked node, parents before children
+        seen = [False] * len(nodes)
+        seen[self._root] = True
+        cut: list[tuple[int, int, int]] = []  # (walk index, position, child) of each pointer not followed
+        for k, node in enumerate(order):  # breadth first: order grows as the walk goes
+            for i, c in enumerate(child[nodes[node]].tolist()):
+                if 0 <= c < len(nodes) and not seen[c]:
+                    seen[c] = True
+                    order.append(c)
+                    paths.append(f"{paths[k]}[{i}]")
+                    depths.append(depths[k] + 1)
+                elif c >= 0:  # past the node list, or reached twice
+                    cut.append((k, i, c))
+        sizes = [len(nodes[node]) for node in order]
+        rows = np.concatenate([nodes[node] for node in order])  # every entry id, as often as a node lists it
+        node_of = np.repeat(np.arange(len(order)), sizes)
+        first = np.cumsum([0, *sizes])  # walk position of each walked node's first entry
 
         def label(k: int) -> str:  # the path of the entry at walk position k
-            return f"{paths[node_of[k]]}[{k - first[k]}]"
+            return f"{paths[node_of[k]]}[{k - first[node_of[k]]}]"
+
+        for k, node in enumerate(order):
+            if node in off_table:
+                issues.append(f"{paths[k]}: entry ids {off_table[node]} outside the table of {self._n} rows")
+        for k in np.flatnonzero(np.array(sizes) > self.branching_factor).tolist():
+            issues.append(f"{paths[k]}: {sizes[k]} entries > B")
+        leaf_depth = self._height(nodes) - 1
+        at_leaf_depth = np.array(depths) == leaf_depth
+        for k in dict.fromkeys(node_of[(child[rows] < 0) != at_leaf_depth[node_of]].tolist()):  # once per node
+            kind = "inner" if at_leaf_depth[k] else "leaf"
+            issues.append(f"{paths[k]}: {kind} entry at depth {depths[k]} of a height-{leaf_depth + 1} tree")
+        for k, i, c in cut:
+            fault = f"past the {len(nodes)} nodes" if c >= len(nodes) else "reached twice: a cycle or a shared node"
+            issues.append(f"{paths[k]}[{i}]: child node {c} {fault}")
 
         listed = np.bincount(rows, minlength=self._n)
         if (bad := np.flatnonzero(listed != 1)).size:
@@ -343,7 +351,9 @@ class CFTree:
         for k in np.flatnonzero((n >= 2) & (r > self.threshold + 1e-9)):
             issues.append(f"{label(leaves[k])}: radius {r[k]:.6g} > T")
 
-        inner = np.flatnonzero(child[rows] >= 0)  # walk positions of the inner entries
+        followed = child[rows] >= 0
+        followed[[first[k] + i for k, i, _ in cut]] = False
+        inner = np.flatnonzero(followed)  # walk positions of the inner entries the walk followed
         kids = [nodes[c] for c in child[rows[inner]].tolist()]
         seg = np.repeat(np.arange(len(kids)), [len(ids) for ids in kids])
         kids = np.concatenate([rows[:0], *kids])

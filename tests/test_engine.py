@@ -369,6 +369,18 @@ class TestAudit:
         assert any(f"entry ids [{e}] outside the table of {tree._n} rows" in i for i in report.issues)
         assert report.checks["mass_conservation"] and report.checks["synopsis_alpha_compliance"]
 
+    @pytest.mark.parametrize("fault", ["past_nodes", "cycle"])
+    def test_reports_a_bad_child_pointer_and_returns(self, rng, fault):
+        eng = self._run_engine(rng)
+        tree = eng.partitions[0].tree
+        assert tree.height() > 1
+        e = tree._nodes[tree._root][0]
+        tree._child[e] = len(tree._nodes) + 3 if fault == "past_nodes" else tree._root
+        report = eng.audit()
+        assert not report.checks["cf_consistency"]
+        assert any(i.startswith("partition 1: root[0]: child node ") for i in report.issues), report.issues
+        assert report.checks["mass_conservation"] and report.checks["synopsis_alpha_compliance"]
+
     def test_detects_corrupted_synopsis_centroid(self, rng):
         eng = self._run_engine(rng)
         eng.partitions[1].current_synopsis.centroids[0] += 99.0
@@ -411,6 +423,26 @@ class TestAudit:
         assert not report.checks["synopsis_alpha_compliance"]
         assert not report.checks["weight_convexity"]
         assert "partition 2: negative published centroid" in report.issues
+
+    @pytest.mark.parametrize("fault", ["rows_cut", "wrong_dimension", "empty"])
+    def test_reports_a_centroid_array_that_does_not_fit_the_dominant_list(self, rng, fault):
+        initial = [rng.uniform(0, 10, size=(30, 2)) + 10 * i for i in range(2)]
+        eng = AllocationEngine(EngineConfig(n_partitions=2, dimension=2, alpha=10), initial)
+        syn = make_synopsis([[3.0, 4.0], [5.0, 5.0]])
+        if fault == "rows_cut":  # a row-by-row comparison would stop after the first CF
+            syn.centroids = syn.centroids[:1]
+            eng._publish(1, syn)
+        elif fault == "wrong_dimension":  # the rows cannot be stacked with the others
+            eng.partitions[0].current_synopsis = make_synopsis([[3.0, 4.0, 5.0]])
+        else:
+            syn.dominant, syn.centroids = [], syn.centroids[:0]
+            eng.partitions[0].current_synopsis = syn
+        report = eng.audit()
+        assert not report.checks["synopsis_alpha_compliance"]
+        shape = {"rows_cut": "(1, 2) for 2", "wrong_dimension": "(1, 3) for 1", "empty": "(0, 2) for 0"}[fault]
+        assert report.issues == [f"partition 1: centroid array of shape {shape} dominant CFs of dimension 2"]
+        if fault == "rows_cut":
+            assert report.checks["weight_convexity"]  # the one row still stacks and is probed
 
     @pytest.mark.parametrize("fault", ["matrix", "offsets", "skipped_rebuild", "skipped_write"])
     def test_detects_stale_routing_matrix(self, rng, fault, monkeypatch):

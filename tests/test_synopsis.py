@@ -296,6 +296,8 @@ class TestCFTree:
         "id_past_table": "outside the table of",
         "negative_id": "entry ids [-1] outside the table of",
         "root_id_past_table": "root: entry ids [",
+        "child_past_nodes": "past the",
+        "child_cycle": "root[0]: child node",
     }
 
     @pytest.mark.parametrize("fault", list(NODE_LIST_FAULTS))
@@ -319,6 +321,10 @@ class TestCFTree:
             tree._nodes[node] = np.append(ids, -1)
         elif fault == "root_id_past_table":  # first, where height() looks
             tree._nodes[tree._root] = np.insert(tree._nodes[tree._root], 0, len(tree._child))
+        elif fault == "child_past_nodes":
+            tree._child[tree._nodes[tree._root][-1]] = len(tree._nodes) + 3
+        elif fault == "child_cycle":  # on the path height() follows
+            tree._child[tree._nodes[tree._root][0]] = tree._root
         else:
             tree.branching_factor = 1
         assert any(self.NODE_LIST_FAULTS[fault] in i for i in tree.consistency_issues())
@@ -344,6 +350,35 @@ class TestCFTree:
         assert [i for i in tree.consistency_issues() if "differs" in i] == [
             f"root[1]: {name} differs from child sum"
         ]
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: st.lists(hnp.arrays(np.float64, d, elements=st.floats(0, 10, allow_nan=False)),
+                               min_size=10, max_size=80)
+        ),
+        st.floats(0.05, 5.0),
+        st.integers(2, 5),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_audit_reports_a_corrupt_pointer_and_never_raises(self, pts, threshold, branching, in_child, data):
+        """One child pointer, or one listed entry id, set to any value in or just outside its range."""
+        tree = CFTree(dimension=len(pts[0]), threshold=threshold, branching_factor=branching)
+        for row in pts:
+            tree.insert(row)
+        if in_child:
+            e = data.draw(st.integers(0, tree._n - 1))
+            old, new = int(tree._child[e]), data.draw(st.integers(-2, len(tree._nodes) + 2))
+            tree._child[e] = new
+            changed = new != old and not (new < 0 and old < 0)  # every negative child is a leaf
+        else:
+            node = data.draw(st.integers(0, len(tree._nodes) - 1))
+            i = data.draw(st.integers(0, len(tree._nodes[node]) - 1))
+            old, new = int(tree._nodes[node][i]), data.draw(st.integers(-2, tree._n + 2))
+            tree._nodes[node][i] = new
+            changed = new != old
+        assert bool(tree.consistency_issues()) == changed
 
     def test_rejects_bad_vectors(self):
         tree = CFTree(dimension=2, threshold=1.0)
