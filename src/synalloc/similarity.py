@@ -4,6 +4,14 @@ Three metrics (quantitative Jaccard, Sorensen/Bray-Curtis, Kulczynski) are
 evaluated per centroid, weighted by a simple outlier rule, and combined by
 a linear opinion pool. All metrics are defined for non-negative vectors and
 land in [0, 1]; similarity is one minus the pooled dissimilarity.
+
+The router's kernels (``_dissim_rows`` and ``_pool``) are metric-major: the
+outcomes of all centroid rows live in one (3, rows) buffer, and callers see
+(rows, 3) ``.T`` views of it. Their short sums (the M components when M < 8,
+and the n = 3 outcomes of a row) run over a leading axis. numpy adds fewer
+than 8 terms strictly left to right, along a row or a leading axis alike, so
+every value is bit-identical to the row-by-row formulas, and a reduction
+over a leading axis costs a fraction of one over many rows of length 3 or 5.
 """
 
 from __future__ import annotations
@@ -120,41 +128,57 @@ def _dissim_rows(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     K = 1 - (m / sum(x) + m / sum(c)) / 2. Two all-zero vectors count as
     identical (0), one all-zero vector against any other as disjoint (1).
     Round-off outside [0, 1] is clipped.
-    """
-    rows = centroids.shape[0]
-    sx = float(x.sum())
-    # One reduction for the three sums; each row is summed as centroids.sum(axis=1) would.
-    block = np.empty((3, rows, x.shape[0]))
-    np.abs(np.subtract(centroids, x, out=block[0]), out=block[0])
-    np.minimum(centroids, x, out=block[1])
-    block[2] = centroids
-    absdiff, smin, sc = block.sum(axis=2)
 
-    out = np.empty((rows, 3))
+    Metric-major: J, S and K go into one (3, rows) buffer, returned as its
+    (rows, 3) ``.T`` view. The three sums over the M components are one
+    reduction. For M < 8 the block is (3, M, rows), summed over its middle
+    axis: numpy adds fewer than 8 terms left to right along any axis, so the
+    sums equal ``centroids.sum(axis=1)`` bit for bit, at a fraction of its
+    cost over many rows. From M = 8 on numpy sums a row pairwise, so the
+    block is (3, rows, M) and is summed along its rows.
+    """
+    rows, m = centroids.shape
+    sx = float(x.sum())
+    if m < 8:
+        block = np.empty((3, m, rows))
+        c, xv, axis = centroids.T, x[:, None], 1
+    else:
+        block = np.empty((3, rows, m))
+        c, xv, axis = centroids, x, 2
+    np.abs(np.subtract(c, xv, out=block[0]), out=block[0])
+    np.minimum(c, xv, out=block[1])
+    block[2] = c
+    absdiff, smin, sc = block.sum(axis=axis)
+
+    out = np.empty((3, rows))
     tot = sx + sc
     # Inputs are non-negative, so a zero denominator needs sc == 0: those rows are set below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(2.0 * absdiff, tot + absdiff, out=out[:, 0])
-        np.divide(absdiff, tot, out=out[:, 1])
-        out[:, 2] = 1.0 if sx == 0.0 else 1.0 - 0.5 * (smin / sx + smin / sc)
+        np.divide(2.0 * absdiff, tot + absdiff, out=out[0])
+        np.divide(absdiff, tot, out=out[1])
+        out[2] = 1.0 if sx == 0.0 else 1.0 - 0.5 * (smin / sx + smin / sc)
     empty = sc == 0.0
     if empty.any():
         if sx == 0.0:
-            out[empty] = 0.0
+            out[:, empty] = 0.0
         else:
-            out[empty, 2] = 1.0
+            out[2, empty] = 1.0
     np.maximum(out, 0.0, out=out)
-    return np.minimum(out, 1.0, out=out)
+    return np.minimum(out, 1.0, out=out).T
 
 
-def _pool_rows(dissims: np.ndarray, theta: float, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Outlier-aware weights for every row of outcomes, and each row's pooled value.
+def _pool(t: np.ndarray, theta: float, k: float) -> tuple[np.ndarray | None, np.ndarray]:
+    """The weight rule on metric-major outcomes ``t`` of shape (n, rows).
 
-    Per row, outcomes more than ``k`` population stds from the row mean get
-    ``theta`` and the rest share the remainder equally; a row whose outcomes
-    are all equal, or all flagged, gets uniform weights.
+    Returns the (n, rows) weights and each row's pooled value. Where the rule
+    cannot fire, every weight is 1 / n and None stands for them: the pooled
+    values need no weights array, and ``ingest`` reads only those.
+    Every sum runs over the leading axis, one term after the other. For
+    n < 8 that is the order in which numpy sums a row, so every value is
+    bit-identical to the row-major rule. For n >= 8 it is the same whenever
+    there is one row, as in ``compute_weights``; the router has n = 3.
     """
-    n = dissims.shape[1]
+    n = t.shape[0]
     if k * k >= 2 * n:
         # The rule cannot fire, so every row gets what an unflagged row gets:
         # (1 - 0 * theta) / n == 1 / n. Each deviation's square is at most n
@@ -166,18 +190,28 @@ def _pool_rows(dissims: np.ndarray, theta: float, k: float) -> tuple[np.ndarray,
         # sqrt(2n), not the exact-arithmetic sqrt(n - 1): the row
         # [9.999995841700118e-156, 1.0000002668839275e-155,
         # 1.0000001489460608e-155] has a computed z of 1.8708.
-        w = np.full(dissims.shape, 1.0 / n)
-        return w, (dissims * w).sum(axis=1)
+        return None, (t * (1.0 / n)).sum(axis=0)
     # np.mean's and np.std's own steps, with the deviations kept for the test.
-    dev = dissims - dissims.sum(axis=1, keepdims=True) / n
-    d = np.sqrt(np.square(dev).sum(axis=1, keepdims=True) / n)
+    dev = t - t.sum(axis=0) / n
+    d = np.sqrt(np.square(dev).sum(axis=0) / n)
     outlier = np.abs(dev) > k * d
-    n_out = outlier.sum(axis=1, keepdims=True)
+    n_out = outlier.sum(axis=0)
     share = (1.0 - n_out * theta) / np.maximum(n - n_out, 1)
     w = np.where(outlier, theta, share)
-    degenerate = (d == 0.0) | (n_out == n)
-    w = np.where(degenerate, 1.0 / n, w)
-    return w, (dissims * w).sum(axis=1)
+    w[:, (d == 0.0) | (n_out == n)] = 1.0 / n  # degenerate rows
+    return w, (t * w).sum(axis=0)
+
+
+def _pool_rows(dissims: np.ndarray, theta: float, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Outlier-aware weights for every row of outcomes, and each row's pooled value.
+
+    Per row, outcomes more than ``k`` population stds from the row mean get
+    ``theta`` and the rest share the remainder equally; a row whose outcomes
+    are all equal, or all flagged, gets uniform weights. ``_pool`` does the
+    work on the ``.T`` view; the weights come back as a (rows, n) view.
+    """
+    w, pooled = _pool(dissims.T, theta, k)
+    return (np.full(dissims.shape, 1.0 / dissims.shape[1]) if w is None else w.T), pooled
 
 
 @dataclass
@@ -190,10 +224,24 @@ class SegmentScores:
 
     similarities: np.ndarray  # (segments,) best fused similarity per segment
     dissims: np.ndarray  # (rows, 3) metric outcomes per centroid row
-    weights: np.ndarray  # (rows, 3)
     pooled: np.ndarray  # (rows,)
     offsets: np.ndarray  # (segments + 1,)
     theta: float
+    k: float
+    rule_weights: np.ndarray | None = None  # (rows, 3) once built
+
+    @property
+    def weights(self) -> np.ndarray:
+        """(rows, 3) weights of every row.
+
+        The outlier rule builds them when it runs. Where it cannot fire,
+        ``score_segments`` builds none, because ``ingest`` reads only the
+        similarities; ``_pool_rows`` builds them here on the first read
+        (the audit's), and ``ensemble_scores`` builds only its own rows.
+        """
+        if self.rule_weights is None:
+            self.rule_weights = _pool_rows(self.dissims, self.theta, self.k)[0]
+        return self.rule_weights
 
     def ensemble_scores(self) -> list[EnsembleScore]:
         """One EnsembleScore per segment, taken from its first best row."""
@@ -202,6 +250,8 @@ class SegmentScores:
         # np.argmax's rule within each segment: first maximum, NaN counting as one.
         hits = np.flatnonzero((rows == top) | np.isnan(rows))
         best = hits[np.searchsorted(hits, self.offsets[:-1])]
+        n = self.dissims.shape[1]
+        w_best = np.full((len(best), n), 1.0 / n) if self.rule_weights is None else self.rule_weights[best]
         return [
             EnsembleScore(
                 pooled_dissimilarity=o,
@@ -209,9 +259,7 @@ class SegmentScores:
                 per_metric=[MetricOutcome(m, v) for m, v in zip(METRICS, d)],
                 weights=WeightVector(w, self.theta),
             )
-            for o, d, w in zip(
-                self.pooled[best].tolist(), self.dissims[best].tolist(), self.weights[best]
-            )
+            for o, d, w in zip(self.pooled[best].tolist(), self.dissims[best].tolist(), w_best)
         ]
 
 
@@ -230,9 +278,9 @@ def score_segments(
     theta/k and the centroid signs are the caller's to check, once.
     """
     dissims = _dissim_rows(xv, centroids)
-    w, pooled = _pool_rows(dissims, theta, k)
+    w, pooled = _pool(dissims.T, theta, k)
     best = np.maximum.reduceat(1.0 - pooled, offsets[:-1])
-    return SegmentScores(best, dissims, w, pooled, offsets, theta)
+    return SegmentScores(best, dissims, pooled, offsets, theta, k, None if w is None else w.T)
 
 
 def ensemble_similarity(

@@ -298,6 +298,8 @@ class CFTree:
             for k, ids in enumerate(self._nodes):
                 if (bad := (ids < 0) | (ids >= self._n)).any():
                     off_table[k], nodes[k] = ids[bad].tolist(), ids[~bad]
+        if not 0 <= self._root < len(nodes):  # every check below reads the walk from the root
+            return [f"root node id {self._root} outside the {len(nodes)} nodes"]
         order, paths, depths = [self._root], ["root"], [0]  # per walked node, parents before children
         seen = [False] * len(nodes)
         seen[self._root] = True

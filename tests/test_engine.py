@@ -381,6 +381,17 @@ class TestAudit:
         assert any(i.startswith("partition 1: root[0]: child node ") for i in report.issues), report.issues
         assert report.checks["mass_conservation"] and report.checks["synopsis_alpha_compliance"]
 
+    @pytest.mark.parametrize("root", ["past_nodes", "negative"])
+    def test_reports_a_root_outside_the_node_list_and_returns(self, rng, root):
+        eng = self._run_engine(rng)
+        tree = eng.partitions[0].tree
+        n = len(tree._nodes)
+        tree._root = n + 1 if root == "past_nodes" else -1
+        report = eng.audit()
+        assert not report.checks["cf_consistency"]
+        assert f"partition 1: root node id {tree._root} outside the {n} nodes" in report.issues
+        assert report.checks["mass_conservation"] and report.checks["synopsis_alpha_compliance"]
+
     def test_detects_corrupted_synopsis_centroid(self, rng):
         eng = self._run_engine(rng)
         eng.partitions[1].current_synopsis.centroids[0] += 99.0

@@ -19,7 +19,7 @@ from synalloc import (
     opinion_pool,
     sorensen_dissim,
 )
-from synalloc.similarity import METRICS, WeightVector, _dissim_rows, _pool_rows
+from synalloc.similarity import METRICS, WeightVector, _dissim_rows, _pool_rows, score_segments
 
 from conftest import make_synopsis
 from test_engine import naive_metrics, naive_pool
@@ -163,6 +163,39 @@ class TestFusedKernel:
         got = _dissim_rows(x, np.asfortranarray(centroids))
         assert got.tobytes() == _dissim_rows(x, centroids).tobytes()
         assert got.tobytes() == reference_dissim_rows(x, centroids).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 2, 386])
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 129, 300])
+    def test_matches_the_reference_at_the_layout_edges(self, m, rows):
+        # Below M = 8 the sums run over the middle axis of a (3, M, rows) block, from
+        # M = 8 on along the rows of a (3, rows, M) one, which numpy sums pairwise and,
+        # past 128 elements, splits recursively. Row scales vary over ten decades so
+        # that the order of the additions shows in the last bits.
+        rng = np.random.default_rng(1000 * m + rows)
+        x = rng.uniform(0, 1, m) * 10.0 ** rng.uniform(-5, 5, m)
+        centroids = rng.uniform(0, 1, (rows, m)) * 10.0 ** rng.uniform(-5, 5, (rows, 1))
+        centroids[1::5] = 0.0
+        assert_same_bits(_dissim_rows(x, centroids), reference_dissim_rows(x, centroids))
+        assert_same_bits(_dissim_rows(np.zeros(m), centroids), reference_dissim_rows(np.zeros(m), centroids))
+
+    def test_numpy_sums_fewer_than_eight_terms_left_to_right(self):
+        """Canary for the kernels' bit-identity: both lay out sums of fewer than 8 terms
+        along a leading axis, which numpy adds one term after the other, where the
+        reference formulas sum rows. A numpy that adds short rows in another order
+        fails here, before it changes any ``--records`` output."""
+        rng = np.random.default_rng(8)
+        for m in range(1, 8):
+            a = rng.uniform(0, 1, (2000, m)) * 10.0 ** rng.uniform(-300, 300, (2000, 1))
+            a *= 10.0 ** rng.uniform(-2, 2, (2000, m))
+            left = 0.0 + a[:, 0]
+            for j in range(1, m):
+                left = left + a[:, j]
+            assert a.sum(axis=1).tobytes() == left.tobytes()
+            assert a.T.copy().sum(axis=0).tobytes() == left.tobytes()
+            right = 0.0 + a[:, -1]
+            for j in range(m - 2, -1, -1):
+                right = right + a[:, j]
+            assert (right != left).any() == (m >= 3)  # the order shows in the sums
 
     @pytest.mark.parametrize("x_zero", [False, True])
     def test_ordinary_inputs_raise_no_warning(self, rng, x_zero):
@@ -343,6 +376,34 @@ class TestOutlierRuleSkip:
         want_w, want_pooled = full_rule(dissims, theta, k)
         assert w.tobytes() == want_w.tobytes()
         assert pooled.tobytes() == want_pooled.tobytes()
+
+    @pytest.mark.parametrize("k", [1.35, 3.0])
+    def test_pool_rows_does_not_depend_on_the_memory_layout(self, rng, k):
+        # The router hands _pool_rows the kernel's (rows, 3) view of a (3, rows) buffer.
+        x = rng.uniform(0, 1, 5)
+        centroids = rng.uniform(0, 1, (386, 5)) * 10.0 ** rng.uniform(-3, 3, (386, 1))
+        view = _dissim_rows(x, centroids)
+        assert view.T.flags.c_contiguous
+        c_order = np.ascontiguousarray(view)
+        want_w, want_pooled = full_rule(c_order, 0.1, k)
+        if k < 2.0:
+            assert (want_w != 1.0 / 3).any(axis=1).mean() > 0.1  # the rule fires on many rows
+        for dissims in (c_order, view.copy(order="F"), view):
+            w, pooled = _pool_rows(dissims, 0.1, k)
+            assert w.tobytes() == want_w.tobytes()
+            assert pooled.tobytes() == want_pooled.tobytes()
+
+    @pytest.mark.parametrize("k", [1.35, 3.0])
+    def test_segment_weights_are_built_when_the_rule_runs_or_when_read(self, rng, k):
+        x = rng.uniform(0, 1, 5)
+        centroids = rng.uniform(0, 1, (40, 5)) * 10.0 ** rng.uniform(-3, 3, (40, 1))
+        scores = score_segments(x, centroids, np.array([0, 17, 40]), 0.1, k)
+        assert (scores.rule_weights is None) == (k * k >= 6)  # what ingest leaves unbuilt
+        best = [s.weights.weights for s in scores.ensemble_scores()]
+        want = _pool_rows(np.ascontiguousarray(scores.dissims), 0.1, k)[0]
+        assert scores.weights.tobytes() == want.tobytes()
+        rows = [lo + int(np.argmax(1.0 - scores.pooled[lo:hi])) for lo, hi in [(0, 17), (17, 40)]]
+        assert [w.tobytes() for w in best] == [want[r].tobytes() for r in rows]
 
     def test_subnormal_spread_is_why_the_margin_exceeds_sqrt_n_minus_1(self):
         row = np.array([SUBNORMAL_SPREAD_ROW])

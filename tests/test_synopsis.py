@@ -298,6 +298,8 @@ class TestCFTree:
         "root_id_past_table": "root: entry ids [",
         "child_past_nodes": "past the",
         "child_cycle": "root[0]: child node",
+        "root_past_nodes": "root node id ",
+        "root_negative": "root node id -1 outside the",  # -1 indexes the last node, which is the root
     }
 
     @pytest.mark.parametrize("fault", list(NODE_LIST_FAULTS))
@@ -325,6 +327,11 @@ class TestCFTree:
             tree._child[tree._nodes[tree._root][-1]] = len(tree._nodes) + 3
         elif fault == "child_cycle":  # on the path height() follows
             tree._child[tree._nodes[tree._root][0]] = tree._root
+        elif fault == "root_past_nodes":
+            tree._root = len(tree._nodes) + 1
+        elif fault == "root_negative":
+            assert tree._root == len(tree._nodes) - 1
+            tree._root = -1
         else:
             tree.branching_factor = 1
         assert any(self.NODE_LIST_FAULTS[fault] in i for i in tree.consistency_issues())
