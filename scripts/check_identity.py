@@ -21,6 +21,9 @@ length:
   every crossing is published at once;
 - preset 2 at alpha 1 (seed 3), where every leaf entry is dominant from
   the moment it is created;
+- preset 1 at alpha 2 and threshold 4.0 (seed 8), which publishes hundreds
+  of dominant entries on every insert, many of them tied at count 2, and
+  ``validate`` in the same configuration (seed 9), whose audit reads them;
 - a custom stream of 5000 vectors with mean 0 and std 5 (seed 6): about
   half of its components are clamped to 0, so the metrics take the
   minimum and absolute difference at zero;
@@ -68,6 +71,10 @@ def cases() -> list[tuple[str, list[str]]]:
     out.append(("run-alpha-crossing", ["run", "--scenario", "1", "--seed", "2", "--partitions", "16", "--alpha", "5",
                                        "--threshold", "4.0", "--refresh", "1", *outputs]))
     out.append(("run-alpha1", ["run", "--scenario", "2", "--seed", "3", "--alpha", "1", *outputs]))
+    out.append(("run-alpha2-threshold4", ["run", "--scenario", "1", "--seed", "8", "--alpha", "2",
+                                          "--threshold", "4.0", *outputs]))
+    out.append(("validate-seed9-alpha2-threshold4", ["validate", "--seed", "9", "--alpha", "2",
+                                                     "--threshold", "4.0"]))
     out.append(("run-custom-mu0-sigma5", ["run", "--scenario", "custom", "--mu", "0", "--sigma", "5",
                                           "--vectors", "5000", "--seed", "6", *outputs]))
     out.append(("run-s2-seed4-refresh3", ["run", "--scenario", "2", "--seed", "4", "--refresh", "3", *outputs]))

@@ -241,18 +241,22 @@ class AllocationEngine:
         alpha_ok = weights_ok = stackable = True
         for pid, p in numbered:
             syn = p.current_synopsis
-            counts = np.array([cf.count for cf in syn.dominant], dtype=np.int64)
-            if (counts < cfg.alpha).any() and len(counts) != 1:
+            counts, rows = syn.counts, syn.counts.size
+            if (counts < cfg.alpha).any() and rows != 1:
                 alpha_ok = False
                 issues.append(f"partition {pid}: sub-alpha CF in synopsis")
-            if syn.centroids.shape != (len(counts), cfg.dimension) or not len(counts):
+            if syn.centroids.shape != (rows, cfg.dimension) or not rows:
                 alpha_ok = False
                 stackable &= syn.centroids.shape[1:] == (cfg.dimension,) and len(syn.centroids) > 0
                 issues.append(f"partition {pid}: centroid array of shape {syn.centroids.shape} "
-                              f"for {len(counts)} dominant CFs of dimension {cfg.dimension}")
+                              f"for {rows} dominant CFs of dimension {cfg.dimension}")
+            elif counts.shape != (rows,) or syn.linear_sums.shape != syn.centroids.shape:
+                alpha_ok = False
+                issues.append(f"partition {pid}: counts of shape {counts.shape} and linear sums of shape "
+                              f"{syn.linear_sums.shape} for a centroid array of shape {syn.centroids.shape}")
             else:
                 with np.errstate(divide="ignore", invalid="ignore"):  # a count of 0 drifts
-                    want = np.array([cf.linear_sum for cf in syn.dominant]) / counts[:, None]
+                    want = syn.linear_sums / counts[:, None]
                 drifted = ~np.isclose(syn.centroids, want, rtol=1e-12, atol=1e-12).all(axis=1)
                 if drifted.any():
                     alpha_ok = False

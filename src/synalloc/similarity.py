@@ -292,12 +292,12 @@ def ensemble_similarity(
     """Best fused similarity of ``x`` over a synopsis's dominant centroids.
 
     Every centroid is scored by the three metrics, weighted, and pooled; the
-    centroid with the highest similarity wins (ties go to the first in the
-    dominant list). Inputs must be non-negative; this is the entry point for
-    synopses built outside the engine, so it checks theta/k and the centroids.
+    centroid with the highest similarity wins (ties go to the first row).
+    Inputs must be non-negative; this is the entry point for synopses built
+    outside the engine, so it checks theta/k and the centroid array.
     """
-    if len(syn.dominant) == 0:
-        raise ConfigError("synopsis has no dominant clusters")
+    if syn.centroids.ndim != 2 or not len(syn.centroids):
+        raise ConfigError(f"synopsis centroid array of shape {syn.centroids.shape}: need one row or more")
     xv = as_vector(x, dim=syn.centroids.shape[1], nonneg=True)
     _check_weight_params(theta, k)
     if (syn.centroids < 0).any():

@@ -4,8 +4,9 @@ A partition's data is summarised by a height-bounded tree of cluster
 features (point count, per-dimension linear sum, per-dimension square sum).
 The triplet is closed under addition, so absorbing a point or merging two
 clusters is a component-wise sum and never touches raw data. A synopsis is
-the set of dominant leaf-level clusters (count >= alpha) with their
-centroids; it is the only thing other nodes ever see.
+the set of dominant leaf-level clusters (count >= alpha) as row-aligned
+arrays of counts, sums and centroids, gathered from the tree's entry table;
+it is the only thing other nodes ever see.
 """
 
 from __future__ import annotations
@@ -100,12 +101,31 @@ def _check_tree_params(dimension: int, threshold: float | None, branching_factor
 
 @dataclass
 class Synopsis:
-    """What a partition publishes: its dominant CFs and their centroids."""
+    """What a partition publishes: its dominant CFs as row-aligned arrays.
+
+    Row ``i`` of ``counts``, ``linear_sums``, ``square_sums`` and ``centroids``
+    is one dominant cluster. Rows run in descending count, ties by entry id
+    (creation order). When no cluster reaches alpha there is one row, the
+    whole tree's aggregate CF. The arrays are copies, never views into the
+    tree, so later inserts leave a published synopsis as it was.
+
+    ``dominant`` gives the rows as ``ClusterFeature``s; the square sums are
+    kept so that it returns whole CFs. Routing and the audit read only the
+    counts, linear sums and centroids.
+    """
 
     partition_id: int
-    dominant: list[ClusterFeature]
-    centroids: np.ndarray  # shape (len(dominant), M)
+    counts: np.ndarray  # (rows,) int64
+    linear_sums: np.ndarray  # (rows, M)
+    square_sums: np.ndarray  # (rows, M)
+    centroids: np.ndarray  # (rows, M): linear_sums / counts
     version: int
+
+    @property
+    def dominant(self) -> list[ClusterFeature]:
+        """The rows as ``ClusterFeature``s, built anew on each read."""
+        return [ClusterFeature(n, ls, ss) for n, ls, ss in
+                zip(self.counts.tolist(), self.linear_sums.copy(), self.square_sums.copy())]
 
 
 class CFTree:
@@ -254,8 +274,8 @@ class CFTree:
         """A copy of entry ``e``'s cluster feature."""
         return ClusterFeature(int(self._count[e]), self._ls[e].copy(), self._ss[e].copy())
 
-    def dominant_entries(self, alpha: int) -> list[int]:
-        """Ids of the leaf entries with count >= ``alpha``, in no particular order.
+    def dominant_entries(self, alpha: int) -> np.ndarray:
+        """Ids of the leaf entries with count >= ``alpha``, in no particular order (a copy).
 
         The first call for an ``alpha`` (or the first after a call with a
         different one) scans every leaf; later calls cost O(dominant),
@@ -266,7 +286,7 @@ class CFTree:
         if alpha != self._dominant_alpha:
             self._dominant = np.flatnonzero((self._child[: self._n] < 0) & (self.counts >= alpha)).tolist()
             self._dominant_alpha = alpha
-        return list(self._dominant)
+        return np.array(self._dominant, dtype=np.intp)
 
     def root_cf(self) -> ClusterFeature:
         """Aggregate CF of the whole tree."""
@@ -395,14 +415,19 @@ def extract_synopsis(
 
     Cost: the tree tracks the entries at or above the last alpha asked for
     (``CFTree.dominant_entries``), so a call with the same alpha as the last
-    one costs O(dominant log dominant), not O(leaves); the first call for an
-    alpha scans every leaf once.
+    one is one sort of the dominant ids and four row gathers, O(dominant log
+    dominant) in numpy, not O(leaves); the first call for an alpha scans every
+    leaf once. The fallback folds the root node's entries.
     """
     dom = tree.dominant_entries(alpha)  # checks alpha, ahead of the emptiness check
     if tree.total_points == 0:
         raise EmptyClusterError("cannot extract a synopsis from an empty tree")
-    count = tree.counts
-    dom.sort(key=lambda e: (-count[e], e))  # ids ascend in creation order
-    cfs = [tree.entry_cf(e) for e in dom] if dom else [tree.root_cf()]
-    centroids = np.array([cf.centroid() for cf in cfs])
-    return Synopsis(partition_id, cfs, centroids, version)
+    if len(dom):
+        dom = dom[np.lexsort((dom, -tree.counts[dom]))]  # count descending, then id: creation order
+        # take copies: an absorb updates the table's rows in place
+        rows = [col.take(dom, axis=0) for col in (tree._count, tree._ls, tree._ss, tree._cent)]
+    else:
+        root = tree.root_cf()
+        rows = [np.array([root.count], dtype=np.int64), root.linear_sum[None], root.square_sum[None],
+                root.centroid()[None]]
+    return Synopsis(partition_id, *rows, version)

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synalloc import ClusterFeature, Synopsis
+from synalloc import Synopsis
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -21,12 +21,11 @@ def rng() -> np.random.Generator:
 def make_synopsis(centroids, partition_id=1, count=100, version=1) -> Synopsis:
     """Synopsis whose dominant clusters are point masses at the given centroids."""
     centroids = np.atleast_2d(np.asarray(centroids, dtype=np.float64))
-    dominant = [
-        ClusterFeature(count, count * c, count * c * c) for c in centroids
-    ]
     return Synopsis(
         partition_id=partition_id,
-        dominant=dominant,
+        counts=np.full(len(centroids), count, dtype=np.int64),
+        linear_sums=count * centroids,
+        square_sums=count * centroids * centroids,
         centroids=centroids.copy(),
         version=version,
     )

@@ -435,7 +435,9 @@ class TestAudit:
         assert not report.checks["weight_convexity"]
         assert "partition 2: negative published centroid" in report.issues
 
-    @pytest.mark.parametrize("fault", ["rows_cut", "wrong_dimension", "empty"])
+    @pytest.mark.parametrize(
+        "fault", ["rows_cut", "wrong_dimension", "empty", "linear_sums_wrong_dimension", "counts_rows_cut"]
+    )
     def test_reports_a_centroid_array_that_does_not_fit_the_dominant_list(self, rng, fault):
         initial = [rng.uniform(0, 10, size=(30, 2)) + 10 * i for i in range(2)]
         eng = AllocationEngine(EngineConfig(n_partitions=2, dimension=2, alpha=10), initial)
@@ -445,15 +447,26 @@ class TestAudit:
             eng._publish(1, syn)
         elif fault == "wrong_dimension":  # the rows cannot be stacked with the others
             eng.partitions[0].current_synopsis = make_synopsis([[3.0, 4.0, 5.0]])
+        elif fault == "empty":
+            eng.partitions[0].current_synopsis = make_synopsis(np.zeros((0, 2)))
+        elif fault == "linear_sums_wrong_dimension":  # the centroids fit; the sums they are checked against do not
+            syn = make_synopsis([[3.0, 4.0]])
+            syn.linear_sums = np.array([[300.0, 400.0, 500.0]])
+            eng._publish(1, syn)
         else:
-            syn.dominant, syn.centroids = [], syn.centroids[:0]
-            eng.partitions[0].current_synopsis = syn
+            syn.counts = syn.counts[:1]
+            eng._publish(1, syn)
         report = eng.audit()
         assert not report.checks["synopsis_alpha_compliance"]
-        shape = {"rows_cut": "(1, 2) for 2", "wrong_dimension": "(1, 3) for 1", "empty": "(0, 2) for 0"}[fault]
-        assert report.issues == [f"partition 1: centroid array of shape {shape} dominant CFs of dimension 2"]
-        if fault == "rows_cut":
-            assert report.checks["weight_convexity"]  # the one row still stacks and is probed
+        shape = {"rows_cut": "(1, 2) for 2", "wrong_dimension": "(1, 3) for 1", "empty": "(0, 2) for 0",
+                 "counts_rows_cut": "(2, 2) for 1"}.get(fault)
+        if shape is None:
+            assert report.issues == ["partition 1: counts of shape (1,) and linear sums of shape (1, 3) "
+                                     "for a centroid array of shape (1, 2)"]
+        else:
+            assert report.issues == [f"partition 1: centroid array of shape {shape} dominant CFs of dimension 2"]
+        if fault in ("rows_cut", "linear_sums_wrong_dimension", "counts_rows_cut"):
+            assert report.checks["weight_convexity"]  # the centroid rows still stack and are probed
 
     @pytest.mark.parametrize("fault", ["matrix", "offsets", "skipped_rebuild", "skipped_write"])
     def test_detects_stale_routing_matrix(self, rng, fault, monkeypatch):

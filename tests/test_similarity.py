@@ -486,7 +486,9 @@ class TestEnsembleSimilarity:
             ensemble_similarity([1.0, 2.0], syn, k=float("nan"))
 
     def test_rejects_empty_synopsis(self):
+        with pytest.raises(ConfigError):
+            ensemble_similarity([1.0, 2.0], make_synopsis(np.zeros((0, 2))))
         syn = make_synopsis([[1.0, 2.0]])
-        syn.dominant.clear()
+        syn.centroids = syn.centroids[0]  # one row, but 1-D
         with pytest.raises(ConfigError):
             ensemble_similarity([1.0, 2.0], syn)

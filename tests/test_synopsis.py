@@ -461,12 +461,29 @@ class TestExtractSynopsis:
             assert np.allclose(row, cf.centroid())
 
     def test_synopsis_is_a_snapshot(self):
-        tree = self._tree_with_clusters([60])
-        syn = extract_synopsis(tree, alpha=50, partition_id=1, version=1)
-        before = syn.dominant[0].count
-        for _ in range(10):
-            tree.insert(np.array([0.0]))
-        assert syn.dominant[0].count == before
+        fields = ("counts", "linear_sums", "square_sums", "centroids")
+        for alpha, rows in ((40, 3), (500, 1)):  # three dominant rows; the root fallback
+            tree = self._tree_with_clusters([60, 50, 45])
+            syn = extract_synopsis(tree, alpha=alpha, partition_id=1, version=1)
+            assert len(syn.counts) == rows
+            before = [getattr(syn, name).tobytes() for name in fields]
+
+            def assert_unshared():
+                for name in fields:
+                    for col in (tree._count, tree._ls, tree._ss, tree._cent):
+                        assert not np.shares_memory(getattr(syn, name), col), (alpha, name)
+
+            assert_unshared()
+            capacity = len(tree._count)
+            for i in range(3):  # absorbs into every dominant entry
+                for _ in range(10):
+                    tree.insert(np.array([i * 100.0]))
+            i = 3
+            while len(tree._count) == capacity:  # new entries until the table is regrown
+                tree.insert(np.array([i * 100.0]))
+                i += 1
+            assert [getattr(syn, name).tobytes() for name in fields] == before, alpha
+            assert_unshared()
 
     def test_alpha_validation(self):
         from synalloc import ConfigError
@@ -508,12 +525,13 @@ class TestExtractSynopsis:
             alpha = alphas[i * len(alphas) // len(pts)]
             syn = extract_synopsis(tree, alpha, partition_id=1, version=i)
             want = naive_synopsis(tree, alpha)
-            assert len(syn.dominant) == len(want)
-            for got, ref in zip(syn.dominant, want):
-                assert got.count == ref.count
-                assert got.linear_sum.tobytes() == ref.linear_sum.tobytes()
-                assert got.square_sum.tobytes() == ref.square_sum.tobytes()
-            assert syn.centroids.tobytes() == np.array([cf.centroid() for cf in want]).tobytes()
+            assert syn.counts.dtype == np.int64
+            assert syn.counts.tobytes() == np.array([cf.count for cf in want], dtype=np.int64).tobytes()
+            for name, ref in (("linear_sums", [cf.linear_sum for cf in want]),
+                              ("square_sums", [cf.square_sum for cf in want]),
+                              ("centroids", [cf.centroid() for cf in want])):
+                got = getattr(syn, name)
+                assert got.shape == (len(want), 2) and got.tobytes() == np.array(ref).tobytes(), name
         assert tree.consistency_issues() == []
 
 
