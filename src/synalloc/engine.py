@@ -21,7 +21,6 @@ from .errors import ConfigError, VectorError
 from .similarity import (
     DEFAULT_OUTLIER_K,
     DEFAULT_THETA,
-    EnsembleScore,
     SegmentScores,
     _check_weight_params,
     ensemble_similarity,  # unused here; bench/spans.py patches synalloc.engine.ensemble_similarity
@@ -139,6 +138,8 @@ class AllocationEngine:
 
     def _stack_synopses(self) -> None:
         """Rebuild the routing matrix from every partition's current synopsis."""
+        # New arrays, never patched: the SegmentScores that allocate returned hold
+        # the old _offsets and read them when their scores are first read.
         self._centroids, self._offsets = stack_centroids(self.synopses)
 
     def _publish(self, pid: int, syn: Synopsis) -> None:
@@ -168,16 +169,18 @@ class AllocationEngine:
         """Vectors ingested so far (initial data excluded)."""
         return self._t
 
-    def allocate(self, x) -> tuple[int, list[EnsembleScore]]:
-        """Pure argmax-similarity routing decision; does not mutate state."""
+    def allocate(self, x) -> tuple[int, SegmentScores]:
+        """Pure argmax-similarity routing decision; does not mutate state.
+
+        Returns the chosen partition id and a read-only sequence with one
+        ``EnsembleScore`` per partition, in partition order. The scores are
+        built on the first read, not here; a read after later ingests still
+        gives the scores as of this call.
+        """
         v = as_vector(x, self.config.dimension, nonneg=True)
         return self._allocate(v)
 
-    def _allocate(self, v: np.ndarray) -> tuple[int, list[EnsembleScore]]:
-        chosen, scores = self._route(v)
-        return chosen, scores.ensemble_scores()
-
-    def _route(self, v: np.ndarray) -> tuple[int, SegmentScores]:
+    def _allocate(self, v: np.ndarray) -> tuple[int, SegmentScores]:
         cfg = self.config
         scores = score_segments(v, self._centroids, self._offsets, cfg.theta, cfg.outlier_k)
         sims = scores.similarities
@@ -196,7 +199,7 @@ class AllocationEngine:
         except VectorError:
             self.rejected += 1
             raise
-        chosen, scores = self._route(v)
+        chosen, scores = self._allocate(v)
         p = self.partitions[chosen - 1]
         p.tree.insert(v)
         if (p.tree.total_points - p.initial_count) % self.config.refresh_interval == 0:

@@ -17,7 +17,8 @@ over a leading axis costs a fraction of one over many rows of length 3 or 5.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -215,11 +216,17 @@ def _pool_rows(dissims: np.ndarray, theta: float, k: float) -> tuple[np.ndarray,
 
 
 @dataclass
-class SegmentScores:
+class SegmentScores(Sequence):
     """Fused scores of one vector against a stack of centroid segments.
 
     Rows ``offsets[s]`` to ``offsets[s + 1] - 1`` of the stack form segment
     ``s``; in the engine a segment is one partition's synopsis.
+
+    It is also a read-only sequence of each segment's ``EnsembleScore``:
+    ``ensemble_scores`` builds them all on the first item read, and later
+    reads return the same objects. Every field holds arrays made for this
+    one call, plus ``offsets``, which the owner must replace rather than
+    patch. So scores read late are the scores as of the call.
     """
 
     similarities: np.ndarray  # (segments,) best fused similarity per segment
@@ -229,6 +236,18 @@ class SegmentScores:
     theta: float
     k: float
     rule_weights: np.ndarray | None = None  # (rows, 3) once built
+    _items: list[EnsembleScore] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __len__(self) -> int:
+        return len(self.similarities)
+
+    def __getitem__(self, i: int | slice):
+        if self._items is None:
+            self._items = self.ensemble_scores()
+        return self._items[i]
+
+    def __iter__(self):
+        return iter(self[:])
 
     @property
     def weights(self) -> np.ndarray:

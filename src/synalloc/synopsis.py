@@ -155,9 +155,11 @@ class CFTree:
         self._child = np.zeros(0, dtype=np.intp)
         self._nodes: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]  # entry ids per node
         self._root = 0
-        # Leaf entry ids with count >= _dominant_alpha, in no particular order.
-        # Counts only grow, so each entry joins once, when it reaches alpha.
-        self._dominant: list[int] = []
+        # Leaf entry ids with count >= _dominant_alpha, in no particular order: the first
+        # _n_dominant of _dominant, grown by doubling. Counts only grow, so each entry
+        # joins once, when it reaches alpha.
+        self._dominant = np.zeros(0, dtype=np.intp)
+        self._n_dominant = 0
         self._dominant_alpha: int | None = None  # None: not tracked yet
 
     # -- insertion ---------------------------------------------------------
@@ -206,7 +208,7 @@ class CFTree:
 
         self.total_points += 1
         if self._count[leaf] == self._dominant_alpha:
-            self._dominant.append(leaf)
+            self._add_dominant(leaf)
         return leaf, bool(self._count[leaf] == 1)  # new entries start at 1; an absorb leaves >= 2
 
     def _add_row(self, count: int, linear_sum: np.ndarray, square_sum: np.ndarray, child: int) -> int:
@@ -222,6 +224,13 @@ class CFTree:
         self._child[e] = child
         self._set_row(e, count, linear_sum, square_sum)
         return e
+
+    def _add_dominant(self, e: int) -> None:
+        n = self._n_dominant
+        if n == len(self._dominant):
+            self._dominant = np.resize(self._dominant, max(8, 2 * n))
+        self._dominant[n] = e
+        self._n_dominant = n + 1
 
     def _set_row(self, e: int, count: int, linear_sum: np.ndarray, square_sum: np.ndarray) -> None:
         self._count[e] = count
@@ -284,9 +293,10 @@ class CFTree:
         if alpha < 1:
             raise ConfigError("alpha must be >= 1")
         if alpha != self._dominant_alpha:
-            self._dominant = np.flatnonzero((self._child[: self._n] < 0) & (self.counts >= alpha)).tolist()
+            self._dominant = np.flatnonzero((self._child[: self._n] < 0) & (self.counts >= alpha))
+            self._n_dominant = len(self._dominant)
             self._dominant_alpha = alpha
-        return np.array(self._dominant, dtype=np.intp)
+        return self._dominant[: self._n_dominant].copy()
 
     def root_cf(self) -> ClusterFeature:
         """Aggregate CF of the whole tree."""
@@ -399,7 +409,7 @@ class CFTree:
             issues.append(f"mass {mass} != inserted {self.total_points}")
         if self._dominant_alpha is not None:
             want = np.flatnonzero((child < 0) & (count >= self._dominant_alpha))
-            if not np.array_equal(np.sort(self._dominant), want):  # missing, extra or duplicated
+            if not np.array_equal(np.sort(self._dominant[: self._n_dominant]), want):  # missing, extra or duplicated
                 issues.append(f"dominant registry out of sync with leaf counts at alpha {self._dominant_alpha}")
         return issues
 

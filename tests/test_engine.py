@@ -339,7 +339,7 @@ class TestAudit:
         tree = eng.partitions[0].tree
         assert tree.consistency_issues() == []
         if fault == "duplicate":
-            tree._dominant.append(tree._dominant[0])
+            tree._add_dominant(tree._dominant[0])
         else:
             below = next(e for e in tree.leaf_entries() if tree.counts[e] < eng.config.alpha)
             tree._count[below] = eng.config.alpha
@@ -668,3 +668,71 @@ class TestFusedScoring:
         for got, w in zip(scores, want):
             assert math.isnan(got.similarity)
             assert_same_score(got, w)
+
+
+class TestScoresOnRead:
+    """allocate() returns its scores unbuilt; they are built on the first read."""
+
+    @staticmethod
+    def _engine():
+        # Partitions 1-2 publish three alpha-dominant clusters each; partition 3
+        # publishes its 1-row root fallback. Every insert refreshes its partition.
+        centers = np.array([[1.0, 1.0, 1.0], [6.0, 6.0, 6.0], [12.0, 2.0, 5.0]])
+        scattered = np.array([[0.0, 9.0, 3.0], [20.0, 1.0, 8.0], [4.0, 30.0, 0.0]])
+        initial = [np.repeat(centers + 10 * i, 4, axis=0) for i in range(2)] + [scattered]
+        cfg = EngineConfig(n_partitions=3, dimension=3, alpha=3, threshold=0.5, outlier_k=1.2)
+        return AllocationEngine(cfg, initial)
+
+    def test_late_reads_are_the_scores_as_of_the_call(self, monkeypatch):
+        eng = self._engine()
+        cfg = eng.config
+        x = np.array([2.0, 5.0, 3.0])
+        chosen, scores = eng.allocate(x)
+        kept = eng.synopses
+        assert [len(s.centroids) for s in kept] == [3, 3, 1]
+
+        restacks = []
+        stack = eng._stack_synopses
+        monkeypatch.setattr(eng, "_stack_synopses", lambda: restacks.append(1) or stack())
+        patched = 0
+        # Absorbs that move a published centroid, points for the fallback partition,
+        # and three copies of a new point, which becomes a dominant cluster.
+        stream = [[1.1, 1.0, 1.0], [16.2, 16.0, 15.9], [0.0, 9.0, 3.5], [4.0, 29.0, 0.5]] + [[9.0, 3.0, 0.0]] * 3
+        for v in stream:
+            rows = [len(s.centroids) for s in eng.synopses]
+            n_restacks = len(restacks)
+            eng.ingest(v)
+            patched += len(restacks) == n_restacks and rows == [len(s.centroids) for s in eng.synopses]
+        assert restacks and patched
+        assert [s.version for s in eng.synopses] != [s.version for s in kept]
+        now = eng.allocate(x)[1]
+        assert any(a.similarity != b.similarity for a, b in zip(scores, now))  # a stale read would show
+
+        assert len(scores) == cfg.n_partitions
+        for got, syn in zip(scores, kept):
+            assert_same_score(got, ensemble_similarity(x, syn, cfg.theta, cfg.outlier_k))
+        assert chosen == int(np.argmax([s.similarity for s in scores])) + 1
+        assert scores[-1] is scores[2]
+        assert scores[1:] == [scores[1], scores[2]]
+        first, second = list(scores), list(iter(scores))
+        assert all(a is b for a, b in zip(first, second)) and len(first) == len(second) == 3
+        assert scores[0] in scores
+        with pytest.raises(IndexError):
+            scores[3]
+
+    def test_nothing_is_built_until_read(self, monkeypatch):
+        built = []
+
+        class CountingScore(synalloc.similarity.EnsembleScore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(synalloc.similarity, "EnsembleScore", CountingScore)
+        eng = self._engine()
+        chosen, scores = eng.allocate([2.0, 5.0, 3.0])
+        assert built == []
+        top = scores[chosen - 1]
+        assert len(built) == eng.config.n_partitions and top is built[chosen - 1]
+        assert list(scores) == built and scores[0] is built[0]
+        assert len(built) == eng.config.n_partitions

@@ -579,10 +579,10 @@ class TestDominantRegistry:
 
     def test_detects_duplicate_entry(self, rng):
         tree = self._tracked_tree(rng)
-        tree._dominant.append(tree._dominant[0])
+        tree._add_dominant(tree._dominant[0])
         assert self._registry_issues(tree)
 
     def test_detects_extra_entry(self, rng):
         tree = self._tracked_tree(rng)
-        tree._dominant.append(next(e for e in tree.leaf_entries() if tree.counts[e] < self.ALPHA))
+        tree._add_dominant(next(e for e in tree.leaf_entries() if tree.counts[e] < self.ALPHA))
         assert self._registry_issues(tree)
