@@ -26,7 +26,13 @@ length:
   ``validate`` in the same configuration (seed 9), whose audit reads them;
 - a custom stream of 5000 vectors with mean 0 and std 5 (seed 6): about
   half of its components are clamped to 0, so the metrics take the
-  minimum and absolute difference at zero;
+  minimum and absolute difference at zero (all-zero rows are redrawn, so
+  no streamed vector sums to 0);
+- ``run`` and ``validate`` seeded from ``tests/fixtures/zero_rows.csv``
+  (3 partitions, alpha 3, threshold 12.0), a quarter of whose rows are all
+  zero: they absorb into dominant entries, so all-zero centroid rows stay
+  published and every ingest scores on the kernel's guarded path, while
+  the stream still spreads over all three partitions;
 - preset 2 refreshing every 3 inserts (seed 4), so that the message count
   in the JSON report comes from a batched refresh schedule;
 - ``validate --seed 9``, once as is, once refreshing every 7 inserts and
@@ -54,6 +60,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ZERO_ROWS = ["--dataset", str(ROOT / "tests" / "fixtures" / "zero_rows.csv"), "--partitions", "3",
+             "--alpha", "3", "--threshold", "12.0"]
 MULTI_CENTROID = ["--partitions", "16", "--alpha", "5", "--threshold", "4.0", "--refresh", "50"]
 
 
@@ -77,6 +85,8 @@ def cases() -> list[tuple[str, list[str]]]:
                                                      "--threshold", "4.0"]))
     out.append(("run-custom-mu0-sigma5", ["run", "--scenario", "custom", "--mu", "0", "--sigma", "5",
                                           "--vectors", "5000", "--seed", "6", *outputs]))
+    out.append(("run-zero-rows", ["run", "--seed", "1", *ZERO_ROWS, *outputs]))
+    out.append(("validate-zero-rows", ["validate", "--seed", "9", *ZERO_ROWS]))
     out.append(("run-s2-seed4-refresh3", ["run", "--scenario", "2", "--seed", "4", "--refresh", "3", *outputs]))
     out.append(("validate-seed9", ["validate", "--seed", "9"]))
     out.append(("validate-seed9-refresh7", ["validate", "--seed", "9", "--refresh", "7"]))

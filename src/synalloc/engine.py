@@ -23,8 +23,10 @@ from .similarity import (
     DEFAULT_THETA,
     SegmentScores,
     _check_weight_params,
+    centroid_sums,
     ensemble_similarity,  # unused here; bench/spans.py patches synalloc.engine.ensemble_similarity
     score_segments,
+    sums_in_bound,
 )
 from .synopsis import CFTree, Synopsis, _check_tree_params, extract_synopsis
 from .validation import as_vector
@@ -32,6 +34,9 @@ from .validation import as_vector
 # Data-scaled leaf threshold: this fraction of the RMS per-dimension std of
 # a partition's initial data, when no explicit threshold is configured.
 THRESHOLD_STD_FACTOR = 0.5
+
+# What json.dumps(..., separators=(",", ":")) encodes with, built once rather than per record.
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,7 @@ class AllocationRecord:
             "chosen": self.chosen,
             "similarities": [float(f"{s:.12g}") for s in self.similarities()],
         }
-        return json.dumps(payload, separators=(",", ":"))
+        return _JSON.encode(payload)
 
 
 @dataclass
@@ -101,7 +106,12 @@ def default_threshold(points: np.ndarray) -> float:
 
 
 def stack_centroids(synopses: Sequence[Synopsis]) -> tuple[np.ndarray, np.ndarray]:
-    """All synopses' centroids as one matrix, with each synopsis's row offsets."""
+    """All synopses' centroids as one matrix, with each synopsis's row offsets.
+
+    The engine's routing matrix also carries the rows' ``centroid_sums`` and
+    whether they are ``sums_in_bound``; ``_stack_synopses`` builds both from
+    this matrix, and the audit rebuilds them to check the cached ones.
+    """
     centroids = [s.centroids for s in synopses]
     return np.concatenate(centroids), np.cumsum([0] + [len(c) for c in centroids])
 
@@ -137,10 +147,17 @@ class AllocationEngine:
         self._stack_synopses()
 
     def _stack_synopses(self) -> None:
-        """Rebuild the routing matrix from every partition's current synopsis."""
+        """Rebuild the routing matrix from every partition's current synopsis.
+
+        The matrix carries its rows' ``centroid_sums`` and whether they are
+        ``sums_in_bound``, so that scoring neither sums the rows nor, under
+        the bound, guards its divisions.
+        """
         # New arrays, never patched: the SegmentScores that allocate returned hold
         # the old _offsets and read them when their scores are first read.
         self._centroids, self._offsets = stack_centroids(self.synopses)
+        self._sums = centroid_sums(self._centroids)
+        self._bounded = sums_in_bound(self._sums)
 
     def _publish(self, pid: int, syn: Synopsis) -> None:
         """Make ``syn`` partition ``pid``'s synopsis and bring the routing matrix up to date."""
@@ -148,6 +165,8 @@ class AllocationEngine:
         lo, hi = self._offsets[pid - 1], self._offsets[pid]
         if hi - lo == len(syn.centroids):  # same row count: patch the partition's rows in place
             self._centroids[lo:hi] = syn.centroids
+            self._sums[lo:hi] = centroid_sums(syn.centroids)
+            self._bounded = sums_in_bound(self._sums)
         else:
             self._stack_synopses()
 
@@ -182,7 +201,8 @@ class AllocationEngine:
 
     def _allocate(self, v: np.ndarray) -> tuple[int, SegmentScores]:
         cfg = self.config
-        scores = score_segments(v, self._centroids, self._offsets, cfg.theta, cfg.outlier_k)
+        scores = score_segments(v, self._centroids, self._offsets, cfg.theta, cfg.outlier_k,
+                                self._sums, self._bounded)
         sims = scores.similarities
         return int(np.argmax(sims)) + 1, scores  # first max: lowest partition id
 
@@ -277,12 +297,22 @@ class AllocationEngine:
             ):
                 alpha_ok = False
                 issues.append("routing matrix differs from the published centroids")
+            sums = centroid_sums(centroids)  # recomputed, never read from the cache it checks
+            if not np.array_equal(self._sums, sums):
+                alpha_ok = False
+                issues.append("routing matrix row sums differ from the published centroids")
+            bounded = sums_in_bound(sums)
+            if self._bounded != bounded:
+                alpha_ok = False
+                issues.append(f"routing matrix fault-free flag is {self._bounded}, "
+                              f"the published row sums give {bounded}")
             row_pid = np.repeat(np.arange(1, len(offsets)), np.diff(offsets))
-            # The router's kernel: every row against each partition's first centroid and the zero vector.
+            # The router's kernel on the router's path: every row against each partition's
+            # first centroid and, always guarded as its sum is 0, the zero vector.
             probes = [(f" for partition {pid}'s first centroid", centroids[lo])
                       for pid, lo in enumerate(offsets[:-1].tolist(), start=1)]
             for name, x in probes + [(" for the zero vector", np.zeros(cfg.dimension))]:
-                scores = score_segments(x, centroids, offsets, cfg.theta, cfg.outlier_k)
+                scores = score_segments(x, centroids, offsets, cfg.theta, cfg.outlier_k, sums, bounded)
                 w, sims = scores.weights, 1.0 - scores.pooled
                 faults = {
                     "non-convex weights": (w < 0).any(axis=1) | (w > 1).any(axis=1)

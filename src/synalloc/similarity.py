@@ -16,6 +16,7 @@ over a leading axis costs a fraction of one over many rows of length 3 or 5.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -45,10 +46,16 @@ class MetricOutcome:
     dissimilarity: float
 
 
-@dataclass
+@dataclass(eq=False)
 class WeightVector:
     weights: np.ndarray
     theta: float
+
+    def __eq__(self, other):
+        # The generated __eq__ compares the arrays with ==, whose truth value raises.
+        if not isinstance(other, WeightVector):
+            return NotImplemented
+        return bool(np.array_equal(self.weights, other.weights)) and self.theta == other.theta
 
 
 @dataclass
@@ -121,7 +128,29 @@ def opinion_pool(outcomes, weights: WeightVector) -> float:
     return float(o @ weights.weights)
 
 
-def _dissim_rows(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+# Fault-free bound on sum(x) and on every centroid row sum; see ``_dissim_rows``.
+SUM_BOUND = 2.0**1020
+_UNGUARDED = contextlib.nullcontext()
+
+
+def centroid_sums(centroids: np.ndarray) -> np.ndarray:
+    """Every centroid row's sum, bit for bit as ``_dissim_rows`` would sum it.
+
+    The rows are summed C-ordered, whatever the layout of ``centroids``: that
+    is the kernel's layout from M = 8 on, where numpy sums a row pairwise, and
+    below 8 numpy adds left to right in any layout.
+    """
+    return np.add.reduce(np.ascontiguousarray(centroids), axis=1)
+
+
+def sums_in_bound(sums: np.ndarray) -> bool:
+    """Whether every row sum lies in (0, SUM_BOUND]; NaN fails."""
+    return bool(np.minimum.reduce(sums) > 0.0 and np.maximum.reduce(sums) <= SUM_BOUND)
+
+
+def _dissim_rows(
+    x: np.ndarray, centroids: np.ndarray, sums: np.ndarray | None = None, bounded: bool = False
+) -> np.ndarray:
     """Metric outcomes for ``x`` against every centroid row; shape (rows, 3).
 
     With ``a`` the summed absolute difference, ``t`` the total abundance and
@@ -131,39 +160,60 @@ def _dissim_rows(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     Round-off outside [0, 1] is clipped.
 
     Metric-major: J, S and K go into one (3, rows) buffer, returned as its
-    (rows, 3) ``.T`` view. The three sums over the M components are one
-    reduction. For M < 8 the block is (3, M, rows), summed over its middle
-    axis: numpy adds fewer than 8 terms left to right along any axis, so the
-    sums equal ``centroids.sum(axis=1)`` bit for bit, at a fraction of its
-    cost over many rows. From M = 8 on numpy sums a row pairwise, so the
-    block is (3, rows, M) and is summed along its rows.
+    (rows, 3) ``.T`` view. The sums of |c - x| and min(c, x) over the M
+    components are one reduction over a scratch block. For M < 8 the block
+    is (2, M, rows), summed over its middle axis: numpy adds fewer than 8
+    terms left to right along any axis, so the sums equal a row-wise sum bit
+    for bit, at a fraction of its cost over many rows. From M = 8 on numpy
+    sums a row pairwise, so the block is (2, rows, M) and is summed along
+    its rows.
+
+    ``sums`` are the row sums ``centroid_sums`` builds, and ``bounded`` says
+    whether ``sums_in_bound`` holds for them; the engine keeps both with its
+    routing matrix. A caller that passes no sums has them built here.
     """
     rows, m = centroids.shape
-    sx = float(x.sum())
+    sx = float(np.add.reduce(x))
+    if sums is None:
+        sums = centroid_sums(centroids)
     if m < 8:
-        block = np.empty((3, m, rows))
+        block = np.empty((2, m, rows))
         c, xv, axis = centroids.T, x[:, None], 1
     else:
-        block = np.empty((3, rows, m))
+        block = np.empty((2, rows, m))
         c, xv, axis = centroids, x, 2
     np.abs(np.subtract(c, xv, out=block[0]), out=block[0])
     np.minimum(c, xv, out=block[1])
-    block[2] = c
-    absdiff, smin, sc = block.sum(axis=axis)
+    absdiff, smin = np.add.reduce(block, axis)
 
+    # Fault-free path: when 0 < sum(x) <= 2^1020 and every row sum lies in
+    # (0, 2^1020], no step below divides by 0 or reaches inf, so it needs no
+    # errstate, and no row needs the zero-sum fix-up. Proof: every term is
+    # non-negative, so a sum of M terms, rounded in any order, is within a
+    # factor (1 +- u)^M of the exact sum (u = 2^-53), and for any M < 2^40
+    # within 1 +- 2^-12. As |c_i - x_i| <= c_i + x_i and min(c_i, x_i) is at
+    # most x_i and at most c_i, the computed a <= (1 + 2^-10)(sum(x) + sum(c))
+    # < 2^1022 and m <= (1 + 2^-10) min(sum(x), sum(c)). So t <= 2^1021,
+    # t + a < 2^1023 and 2a < 2^1023 are finite; the denominators t, t + a,
+    # sum(x) and sum(c) are all positive; and every quotient is below 3.
+    # Every other call is guarded: a zero or huge x, a zero or huge row sum,
+    # and every caller that passes no flag (the scalar metrics and
+    # ensemble_similarity).
+    guarded = not (bounded and 0.0 < sx <= SUM_BOUND)
     out = np.empty((3, rows))
-    tot = sx + sc
-    # Inputs are non-negative, so a zero denominator needs sc == 0: those rows are set below.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    tot = sx + sums
+    # Inputs are non-negative, so a zero denominator needs a zero row sum: those rows are set below.
+    with np.errstate(divide="ignore", invalid="ignore") if guarded else _UNGUARDED:
         np.divide(2.0 * absdiff, tot + absdiff, out=out[0])
         np.divide(absdiff, tot, out=out[1])
-        out[2] = 1.0 if sx == 0.0 else 1.0 - 0.5 * (smin / sx + smin / sc)
-    empty = sc == 0.0
-    if empty.any():
-        if sx == 0.0:
-            out[:, empty] = 0.0
-        else:
-            out[2, empty] = 1.0
+        out[2] = 1.0 if sx == 0.0 else 1.0 - 0.5 * (smin / sx + smin / sums)
+    if guarded:
+        empty = sums == 0.0
+        if empty.any():
+            if sx == 0.0:
+                out[:, empty] = 0.0
+            else:
+                out[2, empty] = 1.0
     np.maximum(out, 0.0, out=out)
     return np.minimum(out, 1.0, out=out).T
 
@@ -191,16 +241,16 @@ def _pool(t: np.ndarray, theta: float, k: float) -> tuple[np.ndarray | None, np.
         # sqrt(2n), not the exact-arithmetic sqrt(n - 1): the row
         # [9.999995841700118e-156, 1.0000002668839275e-155,
         # 1.0000001489460608e-155] has a computed z of 1.8708.
-        return None, (t * (1.0 / n)).sum(axis=0)
+        return None, np.add.reduce(t * (1.0 / n), axis=0)
     # np.mean's and np.std's own steps, with the deviations kept for the test.
-    dev = t - t.sum(axis=0) / n
-    d = np.sqrt(np.square(dev).sum(axis=0) / n)
+    dev = t - np.add.reduce(t, axis=0) / n
+    d = np.sqrt(np.add.reduce(np.square(dev), axis=0) / n)
     outlier = np.abs(dev) > k * d
-    n_out = outlier.sum(axis=0)
+    n_out = np.add.reduce(outlier, axis=0)
     share = (1.0 - n_out * theta) / np.maximum(n - n_out, 1)
     w = np.where(outlier, theta, share)
     w[:, (d == 0.0) | (n_out == n)] = 1.0 / n  # degenerate rows
-    return w, (t * w).sum(axis=0)
+    return w, np.add.reduce(t * w, axis=0)
 
 
 def _pool_rows(dissims: np.ndarray, theta: float, k: float) -> tuple[np.ndarray, np.ndarray]:
@@ -288,15 +338,21 @@ def score_segments(
     offsets: np.ndarray,
     theta: float = DEFAULT_THETA,
     k: float = DEFAULT_OUTLIER_K,
+    sums: np.ndarray | None = None,
+    bounded: bool = False,
 ) -> SegmentScores:
     """Score an already validated vector against every centroid row in one pass.
 
     Every row is scored by the three metrics, weighted, and pooled; each
     segment's similarity is the best of its rows. ``offsets`` must start at 0,
     end at the row count, and describe non-empty segments. Nothing is checked:
-    theta/k and the centroid signs are the caller's to check, once.
+    theta/k and the centroid signs are the caller's to check, once. ``sums``
+    and ``bounded`` are the rows' ``centroid_sums`` and whether they are
+    ``sums_in_bound``: a caller that keeps the matrix keeps them with it, and
+    ``_dissim_rows`` then neither sums the rows nor, for 0 < sum(x) <= 2^1020
+    under the bound, guards its divisions.
     """
-    dissims = _dissim_rows(xv, centroids)
+    dissims = _dissim_rows(xv, centroids, sums, bounded)
     w, pooled = _pool(dissims.T, theta, k)
     best = np.maximum.reduceat(1.0 - pooled, offsets[:-1])
     return SegmentScores(best, dissims, pooled, offsets, theta, k, None if w is None else w.T)

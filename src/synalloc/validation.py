@@ -18,6 +18,10 @@ def as_vector(x, dim: int | None = None, nonneg: bool = False) -> np.ndarray:
         raise VectorError(f"expected a 1-D vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise VectorError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
+    # One test for the common case: NaN or -inf fails the minimum, +inf the
+    # maximum. The checks below then run only to name the fault.
+    if nonneg and v.size and np.minimum.reduce(v) >= 0.0 and np.maximum.reduce(v) < np.inf:
+        return v
     if not np.isfinite(v).all():
         raise VectorError("malformed input: non-finite component")
     if nonneg and (v < 0).any():

@@ -18,7 +18,8 @@ from synalloc import (
     ensemble_similarity,
     extract_synopsis,
 )
-from synalloc.engine import stack_centroids
+from synalloc.engine import AllocationRecord, stack_centroids
+from synalloc.similarity import centroid_sums, sums_in_bound
 import synalloc.similarity
 
 from conftest import make_synopsis
@@ -290,6 +291,12 @@ class TestIngest:
             assert got == float(f"{sim:.12g}")
         assert " " not in rec.to_json_line()
 
+    def test_json_record_line_is_what_json_dumps_writes(self):
+        for sims in ([math.nan, 0.0, 1.0, 5e-324], [0.1 + 0.2, 1 / 3], [-0.0]):
+            rec = AllocationRecord(7, np.zeros(2), 2, np.array(sims))
+            payload = {"t": 7, "chosen": 2, "similarities": [float(f"{s:.12g}") for s in sims]}
+            assert rec.to_json_line() == json.dumps(payload, separators=(",", ":"))
+
     def test_deterministic_across_identical_engines(self, rng):
         stream = rng.uniform(0.0, 25.0, size=(60, 2))
         seq = []
@@ -415,8 +422,8 @@ class TestAudit:
             target = eng.synopses[1].centroids[0]
             real_dissim = synalloc.similarity._dissim_rows
 
-            def dissim(x, centroids):  # outcomes below 0 for one probe only
-                d = real_dissim(x, centroids)
+            def dissim(x, centroids, *sums):  # outcomes below 0 for one probe only
+                d = real_dissim(x, centroids, *sums)
                 return d - 1.0 if np.array_equal(x, target) else d
 
             monkeypatch.setattr(synalloc.similarity, "_dissim_rows", dissim)
@@ -425,6 +432,20 @@ class TestAudit:
         assert not report.checks["weight_convexity"]
         assert any(want in issue for issue in report.issues), report.issues
         assert report.checks["mass_conservation"] and report.checks["synopsis_alpha_compliance"]
+
+    def test_weight_probe_takes_the_routers_path(self, rng, monkeypatch):
+        # The centroid probes get the rebuilt sums and flag, as allocate does; the zero vector is guarded.
+        eng = self._run_engine(rng)
+        real_dissim = synalloc.similarity._dissim_rows
+        paths = []
+
+        def dissim(x, centroids, sums=None, bounded=False):
+            paths.append((x.any(), sums is not None and sums.tobytes() == eng._sums.tobytes(), bounded))
+            return real_dissim(x, centroids, sums, bounded)
+
+        monkeypatch.setattr(synalloc.similarity, "_dissim_rows", dissim)
+        assert eng._bounded and eng.audit().ok
+        assert paths == [(True, True, True)] * eng.config.n_partitions + [(False, True, True)]
 
     def test_reports_a_negative_published_centroid(self, rng):
         # The router no longer checks centroid signs per call; the audit does.
@@ -498,6 +519,23 @@ class TestAudit:
         assert "routing matrix differs from the published centroids" in report.issues
         assert report.checks["mass_conservation"] and report.checks["cf_consistency"]
 
+    @pytest.mark.parametrize("fault", ["stale_sum", "flag_over_a_zero_row"])
+    def test_detects_stale_routing_matrix_sums(self, rng, fault):
+        initial = [rng.uniform(0, 10, size=(30, 2)) + 10 * i for i in range(2)]
+        eng = AllocationEngine(EngineConfig(n_partitions=2, dimension=2, alpha=1000), initial)
+        if fault == "stale_sum":  # one ulp off
+            eng._sums[1] = np.nextafter(eng._sums[1], np.inf)
+            want = ["routing matrix row sums differ from the published centroids"]
+        else:
+            install_synopses(eng, [[[3.0, 4.0]], [[0.0, 0.0]]])
+            assert eng.audit().ok
+            eng._bounded = True
+            want = ["routing matrix fault-free flag is True, the published row sums give False"]
+        report = eng.audit()
+        assert not report.checks["synopsis_alpha_compliance"]
+        assert [i for i in report.issues if i.startswith("routing matrix")] == want
+        assert report.checks["mass_conservation"] and report.checks["cf_consistency"]
+
 
 # ------------------------------------------------------- fused scoring
 
@@ -533,6 +571,13 @@ def assert_same_synopsis(got, want):
     assert [(cf.count, cf.linear_sum.tobytes(), cf.square_sum.tobytes()) for cf in got.dominant] == [
         (cf.count, cf.linear_sum.tobytes(), cf.square_sum.tobytes()) for cf in want.dominant
     ]
+
+
+def assert_sums_of_a_fresh_build(eng):
+    """The routing matrix's cached row sums and flag equal those built afresh from the synopses."""
+    sums = centroid_sums(stack_centroids(eng.synopses)[0])
+    assert (eng._sums.dtype, eng._sums.tobytes()) == (sums.dtype, sums.tobytes())
+    assert eng._bounded is sums_in_bound(sums)
 
 
 def install_synopses(eng, partitions):
@@ -596,6 +641,28 @@ class TestRoutingMatrix:
             assert (eng._centroids.shape, eng._centroids.dtype) == (centroids.shape, centroids.dtype)
             assert eng._centroids.tobytes() == centroids.tobytes()
             assert (eng._offsets.dtype, eng._offsets.tobytes()) == (offsets.dtype, offsets.tobytes())
+            assert_sums_of_a_fresh_build(eng)
+
+    def test_sums_and_flag_follow_a_zero_row_in_and_out(self):
+        eng = AllocationEngine(EngineConfig(n_partitions=2, dimension=2), [np.ones((3, 2)), 5 * np.ones((3, 2))])
+        install_synopses(eng, [[[0.0, 0.0]], [[3.0, 4.0]]])
+        assert not eng._bounded
+        assert_sums_of_a_fresh_build(eng)
+        steps = [  # (partition, centroids, patched in place, flag after)
+            (1, [[1.0, 2.0]], True, True),
+            (2, [[0.0, 0.0], [3.0, 4.0]], False, False),
+            (2, [[5.0, 6.0], [3.0, 4.0]], True, True),
+            (1, [[2.0**1020, 0.0]], True, True),
+            (1, [[2.0**1020, 1e300]], True, False),
+            (1, [[7.0, 1.0], [2.0, 2.0]], False, True),
+        ]
+        for pid, rows, in_place, bounded in steps:
+            sums = eng._sums
+            with np.errstate(over="ignore"):  # the square sums of 2^1020
+                syn = make_synopsis(rows, partition_id=pid)
+            eng._publish(pid, syn)
+            assert (eng._sums is sums) == in_place and eng._bounded == bounded
+            assert_sums_of_a_fresh_build(eng)
 
 
 class TestFusedScoring:
@@ -719,6 +786,16 @@ class TestScoresOnRead:
         assert scores[0] in scores
         with pytest.raises(IndexError):
             scores[3]
+
+    def test_scores_compare_by_value(self):
+        # The generated __eq__ compared the weight arrays with ==, whose truth value raises.
+        rows = np.repeat([[1.0, 1.0, 1.0], [6.0, 6.0, 6.0]], 4, axis=0)
+        eng = AllocationEngine(EngineConfig(n_partitions=3, dimension=3, alpha=3, threshold=0.5), [rows] * 3)
+        scores = eng.allocate([2.0, 5.0, 3.0])[1]
+        assert scores[0] == scores[2] and scores[0] is not scores[2]
+        assert scores.index(scores[2]) == 0
+        assert scores[2] in scores
+        assert scores.count(scores[0]) == 3
 
     def test_nothing_is_built_until_read(self, monkeypatch):
         built = []

@@ -1,5 +1,6 @@
 """Dissimilarity metrics, outlier-aware weights, and the fused similarity."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -19,7 +20,16 @@ from synalloc import (
     opinion_pool,
     sorensen_dissim,
 )
-from synalloc.similarity import METRICS, WeightVector, _dissim_rows, _pool_rows, score_segments
+from synalloc.similarity import (
+    METRICS,
+    SUM_BOUND,
+    WeightVector,
+    _dissim_rows,
+    _pool_rows,
+    centroid_sums,
+    score_segments,
+    sums_in_bound,
+)
 
 from conftest import make_synopsis
 from test_engine import naive_metrics, naive_pool
@@ -125,9 +135,10 @@ def assert_same_bits(got, want):
 
 
 @st.composite
-def kernel_cases(draw):
+def kernel_cases(draw, m=None):
     """A vector and centroid rows at one magnitude, with zeros placed on purpose."""
-    m, rows = draw(st.integers(1, 40)), draw(st.integers(1, 400))
+    m = draw(st.integers(1, 40)) if m is None else m
+    rows = draw(st.integers(1, 400))
     scale = 10.0 ** draw(st.integers(-300, 300))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -167,8 +178,8 @@ class TestFusedKernel:
     @pytest.mark.parametrize("rows", [1, 2, 386])
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 129, 300])
     def test_matches_the_reference_at_the_layout_edges(self, m, rows):
-        # Below M = 8 the sums run over the middle axis of a (3, M, rows) block, from
-        # M = 8 on along the rows of a (3, rows, M) one, which numpy sums pairwise and,
+        # Below M = 8 the sums run over the middle axis of a (2, M, rows) block, from
+        # M = 8 on along the rows of a (2, rows, M) one, which numpy sums pairwise and,
         # past 128 elements, splits recursively. Row scales vary over ten decades so
         # that the order of the additions shows in the last bits.
         rng = np.random.default_rng(1000 * m + rows)
@@ -207,6 +218,52 @@ class TestFusedKernel:
             got = _dissim_rows(x, centroids)
         assert_same_bits(got, reference_dissim_rows(x, centroids))
         assert got[[1, 4]].tolist() == [[0.0 if x_zero else 1.0] * 3] * 2  # identical / disjoint
+
+    @given(st.one_of(kernel_cases(), st.sampled_from([1, 7, 8, 9, 129]).flatmap(kernel_cases)), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_with_the_matrix_sums_matches_the_reference_bit_for_bit(self, case, fortran):
+        # The sums and flag as the engine builds them, from a matrix in either memory layout.
+        x, centroids = case
+        c = np.asfortranarray(centroids) if fortran else centroids
+        sums = centroid_sums(c)
+        assert sums.tobytes() == centroids.sum(axis=1).tobytes()
+        with np.errstate(all="ignore"):  # sums near 1e300 overflow in both
+            got = _dissim_rows(x, c, sums, sums_in_bound(sums))
+            assert_same_bits(got, reference_dissim_rows(x, centroids))
+
+    @pytest.mark.parametrize("m", [3, 9])
+    @pytest.mark.parametrize(
+        "x_sum, row_sum",
+        [(np.nextafter(SUM_BOUND, 0.0), SUM_BOUND), (SUM_BOUND, SUM_BOUND), (np.nextafter(SUM_BOUND, np.inf), 1.0),
+         (1.0, np.nextafter(SUM_BOUND, 0.0)), (1.0, np.nextafter(SUM_BOUND, np.inf)), (5e-324, SUM_BOUND),
+         (5e-324, 5e-324), (0.0, 1.0)],
+    )
+    def test_the_unguarded_path_raises_nothing(self, monkeypatch, m, x_sum, row_sum):
+        # x and the last row put their whole sum in one component, so that the sums are exact;
+        # the other rows sum to at most 0.24 and one to a subnormal.
+        x = np.zeros(m)
+        x[0] = x_sum
+        centroids = np.array([[0.05, 0.02, 0.01] * 3, [3e-320] * 9])[:, :m]
+        centroids = np.vstack([centroids, np.zeros(m)])
+        centroids[-1, -1] = row_sum
+        sums = centroid_sums(centroids)
+        assert float(np.add.reduce(x)) == x_sum and sums[-1] == row_sum
+        bounded = sums_in_bound(sums)
+        unguarded = bounded and 0.0 < x_sum <= SUM_BOUND
+        assert unguarded == (0.0 < x_sum <= SUM_BOUND and row_sum <= SUM_BOUND)
+
+        errstate, entered = np.errstate, []
+        monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+        with errstate(over="raise", divide="raise", invalid="raise"):
+            got = _dissim_rows(x, centroids, sums, bounded)
+        assert entered == ([] if unguarded else [{"divide": "ignore", "invalid": "ignore"}])
+        with errstate(all="ignore"):
+            assert_same_bits(got, reference_dissim_rows(x, centroids))
+
+    def test_a_zero_row_sum_or_nan_fails_the_bound(self):
+        assert sums_in_bound(np.array([1.0, SUM_BOUND, 5e-324]))
+        for sums in ([1.0, 0.0], [1.0, -0.0], [1.0, np.nan], [np.inf, 1.0], [np.nextafter(SUM_BOUND, np.inf)]):
+            assert not sums_in_bound(np.array(sums))
 
 
 def _vector_or_zero(d):
@@ -290,6 +347,17 @@ class TestWeights:
         wv = compute_weights(outcomes, theta=theta, k=1.0)
         pooled = opinion_pool(outcomes, wv)
         assert min(outcomes) - 1e-12 <= pooled <= max(outcomes) + 1e-12
+
+    def test_weight_vectors_compare_by_value(self):
+        fired = compute_weights([0.0, 0.0, 0.0, 0.0, 1.0], 0.05, 1.5)
+        uniform = compute_weights([0.0, 0.0, 0.0, 0.0, 0.0], 0.05, 1.5)
+        assert fired == WeightVector(fired.weights.copy(), 0.05)
+        assert fired != uniform and fired != WeightVector(fired.weights, 0.1) and fired != (fired.weights, 0.05)
+        x, syn = [2.0, 1.0], make_synopsis([[1.0, 2.0]])
+        score = ensemble_similarity(x, syn, 0.1)
+        assert score == ensemble_similarity(x, syn, 0.1)
+        other = dataclasses.replace(score, weights=WeightVector(np.array([0.1, 0.45, 0.45]), 0.1))
+        assert score != other and [score].count(other) == 0 and other not in [score]
 
     def test_pool_length_mismatch(self):
         wv = WeightVector(np.array([0.5, 0.5]), theta=0.1)
