@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DatasetFormatError, EmptyDatasetError
+from .validation import check_int
 
 # Evaluation dimensions, in canonical order. The published air-quality file
 # spells them CO(GT), NMHC(GT), ...; fixtures use the underscore form. Header
@@ -50,6 +51,7 @@ class ScenarioSpec:
             raise ConfigError("mu must be finite")
         if not 0 < self.sigma < math.inf:  # NaN fails both comparisons
             raise ConfigError("sigma must be positive and finite")
+        check_int(self.count, "count")
         if self.count < 0:
             raise ConfigError("count must be >= 0")
 
@@ -174,6 +176,7 @@ class SyntheticInit:
     spread: float | None = None
 
     def __post_init__(self):
+        check_int(self.per_partition, "per_partition")
         if self.per_partition < 1:
             raise ConfigError("per_partition must be >= 1")
         if self.sigma is not None and not self.sigma > 0:

@@ -23,13 +23,14 @@ from .similarity import (
     DEFAULT_THETA,
     SegmentScores,
     _check_weight_params,
+    _outlier_rule,
     centroid_sums,
     ensemble_similarity,  # unused here; bench/spans.py patches synalloc.engine.ensemble_similarity
     score_segments,
     sums_in_bound,
 )
 from .synopsis import CFTree, Synopsis, _check_tree_params, extract_synopsis
-from .validation import as_vector
+from .validation import as_vector, check_int
 
 # Data-scaled leaf threshold: this fraction of the RMS per-dimension std of
 # a partition's initial data, when no explicit threshold is configured.
@@ -51,6 +52,8 @@ class EngineConfig:
     refresh_interval: int = 1
 
     def __post_init__(self):
+        for name in ("n_partitions", "alpha", "refresh_interval"):
+            check_int(getattr(self, name), name)
         if self.n_partitions < 1:
             raise ConfigError("need at least one partition")
         if self.alpha < 1:
@@ -237,7 +240,12 @@ class AllocationEngine:
     # -- consistency -------------------------------------------------------
 
     def audit(self) -> AuditReport:
-        """Report-only pass over the module invariants."""
+        """Report-only pass over the module invariants.
+
+        The weight probe checks the weights the router's outlier rule built; where
+        the router skipped the rule, it checks ``_outlier_rule``'s weights and that
+        its pooled values equal the router's bit for bit (NaN equal to NaN).
+        """
         issues: list[str] = []
         cfg = self.config
         numbered = list(enumerate(self.partitions, start=1))
@@ -313,11 +321,19 @@ class AllocationEngine:
                       for pid, lo in enumerate(offsets[:-1].tolist(), start=1)]
             for name, x in probes + [(" for the zero vector", np.zeros(cfg.dimension))]:
                 scores = score_segments(x, centroids, offsets, cfg.theta, cfg.outlier_k, sums, bounded)
-                w, sims = scores.weights, 1.0 - scores.pooled
+                w, pooled = scores.rule_weights, scores.pooled
+                skip_differs = np.zeros(len(pooled), dtype=bool)
+                if w is None:  # the router skipped the rule: run it, and hold the skip to it
+                    rule_w, rule_pooled = _outlier_rule(scores.dissims.T, cfg.theta, cfg.outlier_k)
+                    w = rule_w.T
+                    skip_differs = ((rule_pooled.view(np.int64) != pooled.view(np.int64))
+                                    & ~(np.isnan(rule_pooled) & np.isnan(pooled)))
+                sims = 1.0 - pooled
                 faults = {
                     "non-convex weights": (w < 0).any(axis=1) | (w > 1).any(axis=1)
                     | (np.abs(w.sum(axis=1) - 1.0) > 1e-12),
                     "similarity out of range": ~((sims >= 0.0) & (sims <= 1.0)),
+                    "outlier-rule skip pools differently from the rule": skip_differs,
                 }
                 for fault, rows_hit in faults.items():
                     for pid in dict.fromkeys(row_pid[rows_hit].tolist()):  # once per partition

@@ -110,14 +110,14 @@ def compute_weights(outcomes, theta: float, k: float = DEFAULT_OUTLIER_K) -> Wei
     by more than ``k`` population standard deviations. Outliers get the
     small weight ``theta``; the rest share the remainder equally. With all
     outcomes equal (or, degenerately, all flagged) weights are uniform.
-    This is the one-row case of ``_pool_rows``, the rule the router applies.
+    This is the one-column case of ``_pool``, the rule the router applies.
     """
     o = np.asarray(outcomes, dtype=np.float64)
     if o.size < 2:
         raise ConfigError("need at least two metric outcomes")
     _check_weight_params(theta, k, o.size)
-    w, _ = _pool_rows(o.reshape(1, -1), theta, k)
-    return WeightVector(w[0], theta)
+    w, _ = _pool(o.reshape(-1, 1), theta, k)
+    return WeightVector(np.full(o.size, 1.0 / o.size) if w is None else w[:, 0], theta)
 
 
 def opinion_pool(outcomes, weights: WeightVector) -> float:
@@ -223,11 +223,8 @@ def _pool(t: np.ndarray, theta: float, k: float) -> tuple[np.ndarray | None, np.
 
     Returns the (n, rows) weights and each row's pooled value. Where the rule
     cannot fire, every weight is 1 / n and None stands for them: the pooled
-    values need no weights array, and ``ingest`` reads only those.
-    Every sum runs over the leading axis, one term after the other. For
-    n < 8 that is the order in which numpy sums a row, so every value is
-    bit-identical to the row-major rule. For n >= 8 it is the same whenever
-    there is one row, as in ``compute_weights``; the router has n = 3.
+    values need no weights array, and ``ingest`` reads only those. Elsewhere
+    ``_outlier_rule`` runs.
     """
     n = t.shape[0]
     if k * k >= 2 * n:
@@ -242,6 +239,19 @@ def _pool(t: np.ndarray, theta: float, k: float) -> tuple[np.ndarray | None, np.
         # [9.999995841700118e-156, 1.0000002668839275e-155,
         # 1.0000001489460608e-155] has a computed z of 1.8708.
         return None, np.add.reduce(t * (1.0 / n), axis=0)
+    return _outlier_rule(t, theta, k)
+
+
+def _outlier_rule(t: np.ndarray, theta: float, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rule itself, unskipped: outcomes more than ``k`` stds from their row mean weigh ``theta``.
+
+    Every sum runs over the leading axis, one term after the other. For
+    n < 8 that is the order in which numpy sums a row, so every value is
+    bit-identical to the row-major rule. For n >= 8 it is the same whenever
+    there is one row, as in ``compute_weights``; the router has n = 3.
+    The audit runs it where ``_pool`` skipped it, to check the skip.
+    """
+    n = t.shape[0]
     # np.mean's and np.std's own steps, with the deviations kept for the test.
     dev = t - np.add.reduce(t, axis=0) / n
     d = np.sqrt(np.add.reduce(np.square(dev), axis=0) / n)
@@ -251,18 +261,6 @@ def _pool(t: np.ndarray, theta: float, k: float) -> tuple[np.ndarray | None, np.
     w = np.where(outlier, theta, share)
     w[:, (d == 0.0) | (n_out == n)] = 1.0 / n  # degenerate rows
     return w, np.add.reduce(t * w, axis=0)
-
-
-def _pool_rows(dissims: np.ndarray, theta: float, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Outlier-aware weights for every row of outcomes, and each row's pooled value.
-
-    Per row, outcomes more than ``k`` population stds from the row mean get
-    ``theta`` and the rest share the remainder equally; a row whose outcomes
-    are all equal, or all flagged, gets uniform weights. ``_pool`` does the
-    work on the ``.T`` view; the weights come back as a (rows, n) view.
-    """
-    w, pooled = _pool(dissims.T, theta, k)
-    return (np.full(dissims.shape, 1.0 / dissims.shape[1]) if w is None else w.T), pooled
 
 
 @dataclass
@@ -276,7 +274,8 @@ class SegmentScores(Sequence):
     ``ensemble_scores`` builds them all on the first item read, and later
     reads return the same objects. Every field holds arrays made for this
     one call, plus ``offsets``, which the owner must replace rather than
-    patch. So scores read late are the scores as of the call.
+    patch. So scores read late are the scores as of the call. The fields
+    keep what scoring computed: ``rule_weights`` is None where ``_pool`` skipped the rule.
     """
 
     similarities: np.ndarray  # (segments,) best fused similarity per segment
@@ -284,8 +283,7 @@ class SegmentScores(Sequence):
     pooled: np.ndarray  # (rows,)
     offsets: np.ndarray  # (segments + 1,)
     theta: float
-    k: float
-    rule_weights: np.ndarray | None = None  # (rows, 3) once built
+    rule_weights: np.ndarray | None  # (rows, 3) as the outlier rule built them; None where it was skipped
     _items: list[EnsembleScore] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -298,19 +296,6 @@ class SegmentScores(Sequence):
 
     def __iter__(self):
         return iter(self[:])
-
-    @property
-    def weights(self) -> np.ndarray:
-        """(rows, 3) weights of every row.
-
-        The outlier rule builds them when it runs. Where it cannot fire,
-        ``score_segments`` builds none, because ``ingest`` reads only the
-        similarities; ``_pool_rows`` builds them here on the first read
-        (the audit's), and ``ensemble_scores`` builds only its own rows.
-        """
-        if self.rule_weights is None:
-            self.rule_weights = _pool_rows(self.dissims, self.theta, self.k)[0]
-        return self.rule_weights
 
     def ensemble_scores(self) -> list[EnsembleScore]:
         """One EnsembleScore per segment, taken from its first best row."""
@@ -355,7 +340,7 @@ def score_segments(
     dissims = _dissim_rows(xv, centroids, sums, bounded)
     w, pooled = _pool(dissims.T, theta, k)
     best = np.maximum.reduceat(1.0 - pooled, offsets[:-1])
-    return SegmentScores(best, dissims, pooled, offsets, theta, k, None if w is None else w.T)
+    return SegmentScores(best, dissims, pooled, offsets, theta, None if w is None else w.T)
 
 
 def ensemble_similarity(

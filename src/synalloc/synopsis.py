@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EmptyClusterError, VectorError
-from .validation import as_vector
+from .validation import as_vector, check_int
 
 # Relative tolerance for float sums when auditing parent/child CF consistency.
 CF_SUM_RTOL = 1e-9
@@ -69,12 +69,6 @@ class ClusterFeature:
             raise EmptyClusterError("radius of an empty cluster")
         return float(_radii(np.array([self.count]), self.linear_sum[None, :], self.square_sum[None, :])[0])
 
-    def radius2_with(self, x: np.ndarray) -> float:
-        """Squared radius this cluster would have after absorbing ``x``, without building it."""
-        n = self.count + 1
-        ls = self.linear_sum + x
-        return (self.square_sum.sum() + float(x @ x)) / n - float(ls @ ls) / (n * n)
-
     def variance(self) -> np.ndarray:
         """Per-dimension population variance, clamped at 0 against round-off."""
         if self.count < 1:
@@ -90,7 +84,9 @@ def _radii(counts: np.ndarray, linear_sums: np.ndarray, square_sums: np.ndarray)
 
 
 def _check_tree_params(dimension: int, threshold: float | None, branching_factor: int) -> None:
-    """Domain of a CF-tree: dimension >= 1, threshold > 0 (None: chosen later, from data), B >= 2."""
+    """Domain of a CF-tree: integers dimension >= 1 and B >= 2, threshold > 0 (None: chosen later, from data)."""
+    check_int(dimension, "dimension")
+    check_int(branching_factor, "branching_factor")
     if dimension < 1:
         raise ConfigError("dimension must be >= 1")
     if threshold is not None and not threshold > 0:  # written so that NaN fails too
@@ -178,8 +174,13 @@ class CFTree:
             path.append((node, i, e))
             node = child
 
-        nearest = ClusterFeature(int(self._count[e]), self._ls[e], self._ss[e]) if len(ids) else None  # views
-        if nearest is not None and nearest.radius2_with(v) <= self.threshold * self.threshold:
+        absorbs = False
+        if len(ids):  # the squared radius entry e would have after absorbing v, off its table row
+            n = int(self._count[e]) + 1
+            ls = self._ls[e] + v
+            r2 = (self._ss[e].sum() + float(v @ v)) / n - float(ls @ ls) / (n * n)
+            absorbs = r2 <= self.threshold * self.threshold
+        if absorbs:
             leaf = e
             path.append((node, i, e))  # absorbs like the entries above it
         else:
@@ -290,6 +291,7 @@ class CFTree:
         different one) scans every leaf; later calls cost O(dominant),
         because ``insert`` keeps the set current from then on.
         """
+        check_int(alpha, "alpha")
         if alpha < 1:
             raise ConfigError("alpha must be >= 1")
         if alpha != self._dominant_alpha:

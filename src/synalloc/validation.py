@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .errors import VectorError
+from .errors import ConfigError, VectorError
+
+
+def check_int(value, name: str) -> None:
+    """Raise ConfigError unless ``value`` is an integer: numpy integers pass, 2.0 fails."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def as_vector(x, dim: int | None = None, nonneg: bool = False) -> np.ndarray:

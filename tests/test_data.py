@@ -135,6 +135,15 @@ class TestScenarioSpec:
         with pytest.raises(ConfigError, match=f"^{name} must be"):
             ScenarioSpec(mu=mu, sigma=sigma, count=10, seed=1)
 
+    @pytest.mark.parametrize("count", [2.0, 2.5, "2"])
+    def test_rejects_a_non_integer_count(self, count):
+        with pytest.raises(ConfigError, match="^count must be an integer"):
+            ScenarioSpec(mu=25.0, sigma=10.0, count=count, seed=1)
+
+    def test_accepts_a_numpy_integer_count(self):
+        spec = ScenarioSpec(mu=25.0, sigma=10.0, count=np.int64(4), seed=1)
+        assert synth_stream(spec, dim=5).shape == (4, 5)
+
     def test_zero_count_allowed(self):
         spec = ScenarioSpec(mu=25.0, sigma=10.0, count=0, seed=1)
         assert synth_stream(spec, dim=5).shape == (0, 5)
@@ -244,3 +253,13 @@ class TestSyntheticInit:
             SyntheticInit(sigma=-1.0)
         with pytest.raises(ConfigError):
             SyntheticInit(spread=-0.1)
+
+    @pytest.mark.parametrize("per_partition", [2.0, 2.5, "2"])
+    def test_rejects_a_non_integer_per_partition(self, per_partition):
+        with pytest.raises(ConfigError, match="^per_partition must be an integer"):
+            SyntheticInit(per_partition=per_partition)
+
+    def test_accepts_a_numpy_integer_per_partition(self):
+        spec = ScenarioSpec(25.0, 10.0, 100, seed=1)
+        parts = synthetic_partitions(SyntheticInit(per_partition=np.int64(7)), spec, n=2, dim=3, seed=8)
+        assert [p.shape for p in parts] == [(7, 3), (7, 3)]

@@ -20,6 +20,7 @@ from synalloc import (
 )
 from synalloc.engine import AllocationRecord, stack_centroids
 from synalloc.similarity import centroid_sums, sums_in_bound
+import synalloc.engine
 import synalloc.similarity
 
 from conftest import make_synopsis
@@ -108,6 +109,31 @@ class TestEngineConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             EngineConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["n_partitions", "dimension", "alpha", "branching_factor", "refresh_interval"])
+    @pytest.mark.parametrize("value", [2.0, 2.5, "2", None])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            EngineConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["n_partitions", "dimension", "alpha", "branching_factor", "refresh_interval"])
+    def test_accepts_numpy_integer_counts(self, field):
+        assert getattr(EngineConfig(**{field: np.int64(3)}), field) == 3
+
+    def test_a_fractional_alpha_reaches_no_dominant_registry(self, rng):
+        # The registry takes an entry when its count equals alpha, which 2.5 never does.
+        cfg = EngineConfig(n_partitions=2, dimension=2, alpha=3, threshold=0.5)
+        with pytest.raises(ConfigError, match="^alpha must be an integer"):
+            dataclasses.replace(cfg, alpha=2.5)
+        eng = AllocationEngine(cfg, [rng.uniform(0, 10, size=(50, 2)) + 10 * i for i in range(2)])
+        tree = eng.partitions[0].tree
+        for route in (lambda: tree.dominant_entries(2.5), lambda: extract_synopsis(tree, 2.5, 1, 2)):
+            with pytest.raises(ConfigError, match="^alpha must be an integer"):
+                route()
+        assert tree._dominant_alpha == 3
+        for x in rng.uniform(0.0, 20.0, size=(300, 2)):
+            eng.ingest(x)
+        assert eng.audit().ok
 
     @pytest.mark.parametrize("field, value", [("theta", 0.9), ("outlier_k", -1.0), ("alpha", 0)])
     def test_is_immutable_after_validation(self, field, value):
@@ -410,13 +436,13 @@ class TestAudit:
         # Each fault shows only for a probe other than partition 1's first centroid.
         eng = self._run_engine(rng)
         if fault == "zero_probe":
-            real_pool = synalloc.similarity._pool_rows
+            real_rule = synalloc.similarity._outlier_rule
 
-            def pool(dissims, theta, k):  # rows disjoint from the probe get weights summing to 2
-                w, pooled = real_pool(dissims, theta, k)
-                return np.where((dissims == 1.0).all(axis=1, keepdims=True), 2.0 * w, w), pooled
+            def rule(t, theta, k):  # rows disjoint from the probe get weights summing to 2
+                w, pooled = real_rule(t, theta, k)
+                return np.where((t == 1.0).all(axis=0), 2.0 * w, w), pooled
 
-            monkeypatch.setattr(synalloc.similarity, "_pool_rows", pool)
+            monkeypatch.setattr(synalloc.engine, "_outlier_rule", rule)  # at k = 3 the router skips the rule
             want = "non-convex weights"
         else:
             target = eng.synopses[1].centroids[0]
@@ -431,6 +457,25 @@ class TestAudit:
         report = eng.audit()
         assert not report.checks["weight_convexity"]
         assert any(want in issue for issue in report.issues), report.issues
+        assert report.checks["mass_conservation"] and report.checks["synopsis_alpha_compliance"]
+
+    @pytest.mark.parametrize("k", [3.0, 1.35])
+    def test_weight_probe_holds_the_rule_skip_to_the_rule(self, rng, monkeypatch, k):
+        # A skip that pools J alone and still builds no weights: uniform weights would hide it.
+        eng = self._run_engine(rng, outlier_k=k)
+        real_pool = synalloc.similarity._pool
+
+        def pool(t, theta, k):
+            return (None, t[0].copy()) if k * k >= 2 * t.shape[0] else real_pool(t, theta, k)
+
+        monkeypatch.setattr(synalloc.similarity, "_pool", pool)
+        report = eng.audit()
+        if k * k < 6:  # the router runs the rule: there is no skip to check
+            assert report.ok, report.issues
+            return
+        assert not report.checks["weight_convexity"]
+        skip = [i for i in report.issues if "outlier-rule skip pools differently from the rule" in i]
+        assert skip and skip == report.issues, report.issues
         assert report.checks["mass_conservation"] and report.checks["synopsis_alpha_compliance"]
 
     def test_weight_probe_takes_the_routers_path(self, rng, monkeypatch):

@@ -25,7 +25,8 @@ from synalloc.similarity import (
     SUM_BOUND,
     WeightVector,
     _dissim_rows,
-    _pool_rows,
+    _outlier_rule,
+    _pool,
     centroid_sums,
     score_segments,
     sums_in_bound,
@@ -368,7 +369,7 @@ class TestWeights:
 # ---------------------------------------------------------------- outlier-rule skip
 
 def full_rule(dissims, theta, k):
-    """The outlier rule evaluated on every row, with no skip: the reference for ``_pool_rows``."""
+    """The outlier rule evaluated on every row, with no skip: the reference for ``_pool`` and ``_outlier_rule``."""
     n = dissims.shape[1]
     m = dissims.mean(axis=1, keepdims=True)
     d = dissims.std(axis=1, keepdims=True)
@@ -420,9 +421,10 @@ class TestOutlierRuleSkip:
         if k * k < 2 * n:  # sqrt(2n) squared can round below 2n
             k = float(np.nextafter(k, np.inf))
         assert k * k >= 2 * n
-        w, pooled = _pool_rows(dissims, theta, k)
+        w, pooled = _pool(dissims.T, theta, k)
         want_w, want_pooled = full_rule(dissims, theta, k)
-        assert w.tobytes() == want_w.tobytes()
+        assert w is None  # skipped: the rule builds no weights
+        assert want_w.tobytes() == np.full(dissims.shape, 1.0 / n).tobytes()
         assert pooled.tobytes() == want_pooled.tobytes()
 
     @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
@@ -440,14 +442,14 @@ class TestOutlierRuleSkip:
         dissims = np.array(rows)
         assume(k > 0.0)
         assert k * k < 2 * n
-        w, pooled = _pool_rows(dissims, theta, k)
+        w, pooled = _pool(dissims.T, theta, k)
         want_w, want_pooled = full_rule(dissims, theta, k)
-        assert w.tobytes() == want_w.tobytes()
+        assert w.T.tobytes() == want_w.tobytes()
         assert pooled.tobytes() == want_pooled.tobytes()
 
     @pytest.mark.parametrize("k", [1.35, 3.0])
-    def test_pool_rows_does_not_depend_on_the_memory_layout(self, rng, k):
-        # The router hands _pool_rows the kernel's (rows, 3) view of a (3, rows) buffer.
+    def test_pool_does_not_depend_on_the_memory_layout(self, rng, k):
+        # The router hands _pool, and the audit _outlier_rule, the kernel's (3, rows) buffer.
         x = rng.uniform(0, 1, 5)
         centroids = rng.uniform(0, 1, (386, 5)) * 10.0 ** rng.uniform(-3, 3, (386, 1))
         view = _dissim_rows(x, centroids)
@@ -457,19 +459,26 @@ class TestOutlierRuleSkip:
         if k < 2.0:
             assert (want_w != 1.0 / 3).any(axis=1).mean() > 0.1  # the rule fires on many rows
         for dissims in (c_order, view.copy(order="F"), view):
-            w, pooled = _pool_rows(dissims, 0.1, k)
-            assert w.tobytes() == want_w.tobytes()
-            assert pooled.tobytes() == want_pooled.tobytes()
+            w, pooled = _pool(dissims.T, 0.1, k)
+            rule_w, rule_pooled = _outlier_rule(dissims.T, 0.1, k)
+            if k * k >= 6:
+                assert w is None
+            else:
+                assert w.T.tobytes() == want_w.tobytes()
+            assert rule_w.T.tobytes() == want_w.tobytes()
+            assert pooled.tobytes() == rule_pooled.tobytes() == want_pooled.tobytes()
 
     @pytest.mark.parametrize("k", [1.35, 3.0])
     def test_segment_weights_are_built_when_the_rule_runs_or_when_read(self, rng, k):
         x = rng.uniform(0, 1, 5)
         centroids = rng.uniform(0, 1, (40, 5)) * 10.0 ** rng.uniform(-3, 3, (40, 1))
         scores = score_segments(x, centroids, np.array([0, 17, 40]), 0.1, k)
-        assert (scores.rule_weights is None) == (k * k >= 6)  # what ingest leaves unbuilt
+        want = full_rule(np.ascontiguousarray(scores.dissims), 0.1, k)[0]
+        if k * k >= 6:
+            assert scores.rule_weights is None  # what ingest leaves unbuilt
+        else:
+            assert scores.rule_weights.tobytes() == want.tobytes()
         best = [s.weights.weights for s in scores.ensemble_scores()]
-        want = _pool_rows(np.ascontiguousarray(scores.dissims), 0.1, k)[0]
-        assert scores.weights.tobytes() == want.tobytes()
         rows = [lo + int(np.argmax(1.0 - scores.pooled[lo:hi])) for lo, hi in [(0, 17), (17, 40)]]
         assert [w.tobytes() for w in best] == [want[r].tobytes() for r in rows]
 
@@ -477,8 +486,8 @@ class TestOutlierRuleSkip:
         row = np.array([SUBNORMAL_SPREAD_ROW])
         w, _ = full_rule(row, 0.1, 1.8)  # k = 1.8 > sqrt(n - 1) = sqrt(2), and the rule fires
         assert w[0, 0] == 0.1 and w[0, 1] == w[0, 2] == 0.45
-        assert _pool_rows(row, 0.1, 1.8)[0].tobytes() == w.tobytes()  # below sqrt(6): full rule
-        assert np.array_equal(_pool_rows(row, 0.1, 3.0)[0], np.full((1, 3), 1.0 / 3))
+        assert _pool(row.T, 0.1, 1.8)[0].T.tobytes() == w.tobytes()  # below sqrt(6): full rule
+        assert _pool(row.T, 0.1, 3.0)[0] is None  # skipped
         assert np.array_equal(full_rule(row, 0.1, 3.0)[0], np.full((1, 3), 1.0 / 3))
 
 

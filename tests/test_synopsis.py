@@ -406,6 +406,31 @@ class TestCFTree:
         with pytest.raises(ConfigError):
             CFTree(dimension=2, threshold=1.0, branching_factor=1)
 
+    @pytest.mark.parametrize("field", ["dimension", "branching_factor"])
+    @pytest.mark.parametrize("value", [2.0, 2.5])
+    def test_rejects_non_integer_sizes(self, field, value):
+        from synalloc import ConfigError
+
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            CFTree(**{"dimension": 2, "threshold": 1.0, "branching_factor": 4, field: value})
+
+    def test_accepts_numpy_integer_sizes(self):
+        tree = CFTree(np.int64(2), 1.0, np.int32(3))
+        for x in [[0.0, 0.0], [9.0, 9.0], [0.1, 0.0], [20.0, 0.0], [0.0, 20.0]]:
+            tree.insert(x)
+        assert tree.consistency_issues() == []
+        assert list(tree.dominant_entries(np.int64(2))) == [0]
+
+    @pytest.mark.parametrize("alpha", [2.0, 2.5])
+    def test_dominant_entries_rejects_a_non_integer_alpha(self, alpha):
+        from synalloc import ConfigError
+
+        tree = CFTree(dimension=2, threshold=1.0)
+        tree.insert([1.0, 1.0])
+        with pytest.raises(ConfigError, match="^alpha must be an integer"):
+            tree.dominant_entries(alpha)
+        assert tree._dominant_alpha is None  # nothing registered
+
     @pytest.mark.parametrize("field,value", [
         ("dimension", 0), ("threshold", float("nan")), ("branching_factor", 1),
     ])
