@@ -43,6 +43,8 @@ length:
   every few inserts, and branching factor 16 (preset 3 and the
   multi-centroid configuration), so that split groups hold up to 16
   entries;
+- ``validate --seed 9`` at threshold 1.0 with 3000 initial vectors per
+  partition, whose audit walks trees of thousands of entries per level;
 - the ``--help`` text of ``run``, ``validate`` and ``stats``.
 
 Every output file, stdout, stderr and the exit code must match byte for
@@ -99,6 +101,8 @@ def cases() -> list[tuple[str, list[str]]]:
                                                   "--alpha", "5", "--threshold", "4.0", "--refresh", "1",
                                                   "--branching", "3", *outputs]))
     out.append(("validate-seed9-branching3", ["validate", "--seed", "9", "--branching", "3"]))
+    out.append(("validate-seed9-threshold1-init3000", ["validate", "--seed", "9", "--threshold", "1.0",
+                                                       "--init-per-partition", "3000"]))
     out.append(("run-s3-seed3-branching16",
                 ["run", "--scenario", "3", "--seed", "3", "--branching", "16", *outputs]))
     out.append(("run-multi-centroid-branching16", ["run", "--scenario", "1", "--seed", "1", *MULTI_CENTROID,

@@ -140,6 +140,7 @@ def _gaussian_block(
 
 def synth_stream(spec: ScenarioSpec, dim: int) -> np.ndarray:
     """Deterministic stream of ``spec.count`` non-negative vectors."""
+    check_int(dim, "dimension")
     if dim < 1:
         raise ConfigError("dimension must be >= 1")
     rng = np.random.default_rng(spec.seed)
@@ -150,6 +151,7 @@ def synth_stream(spec: ScenarioSpec, dim: int) -> np.ndarray:
 
 def random_split(ds: Dataset, n: int, seed: int) -> list[np.ndarray]:
     """Assign every row to one of ``n`` partitions uniformly at random."""
+    check_int(n, "n_partitions")
     if n < 1:
         raise ConfigError("need at least one partition")
     if n > ds.n_rows:
@@ -189,6 +191,12 @@ def synthetic_partitions(
     init: SyntheticInit, scenario: ScenarioSpec, n: int, dim: int, seed: int
 ) -> list[np.ndarray]:
     """Initial per-partition point sets for synthetic-only runs."""
+    check_int(n, "n_partitions")
+    check_int(dim, "dimension")
+    if n < 1:
+        raise ConfigError("need at least one partition")
+    if dim < 1:  # a row of no components is all zero, and all-zero rows are redrawn
+        raise ConfigError("dimension must be >= 1")
     sigma = init.sigma if init.sigma is not None else scenario.sigma / 2.0
     spread = init.spread if init.spread is not None else scenario.sigma
     offsets = np.arange(1, n + 1) - (n + 1) / 2.0

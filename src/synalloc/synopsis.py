@@ -139,6 +139,8 @@ class CFTree:
 
     def __init__(self, dimension: int, threshold: float, branching_factor: int = 8):
         _check_tree_params(dimension, threshold, branching_factor)
+        if threshold is None:  # the shared check lets None through: EngineConfig scales it to the data
+            raise ConfigError("threshold must be positive, got None")
         self.dimension = dimension
         self.threshold = float(threshold)
         self.branching_factor = branching_factor
@@ -319,9 +321,14 @@ class CFTree:
         return len(nodes)
 
     def consistency_issues(self) -> list[str]:
-        """Full-tree audit; returns human-readable violations (empty = healthy)."""
+        """Full-tree audit; returns human-readable violations (empty = healthy).
+
+        The walk goes down a level at a time, in a few array passes per level. The level's first
+        pointer to a node reaches it and every other pointer is cut. Paths are built only for issues.
+        """
         issues: list[str] = []
         count, child = self.counts, self._child[: self._n]
+        leaf = child < 0
         nodes = self._nodes  # what the audit reads: ids outside the table dropped, and reported below
         off_table: dict[int, list[int]] = {}
         listed_ids = np.concatenate(nodes)
@@ -332,40 +339,43 @@ class CFTree:
                     off_table[k], nodes[k] = ids[bad].tolist(), ids[~bad]
         if not 0 <= self._root < len(nodes):  # every check below reads the walk from the root
             return [f"root node id {self._root} outside the {len(nodes)} nodes"]
-        order, paths, depths = [self._root], ["root"], [0]  # per walked node, parents before children
-        seen = [False] * len(nodes)
-        seen[self._root] = True
-        cut: list[tuple[int, int, int]] = []  # (walk index, position, child) of each pointer not followed
-        for k, node in enumerate(order):  # breadth first: order grows as the walk goes
-            for i, c in enumerate(child[nodes[node]].tolist()):
-                if 0 <= c < len(nodes) and not seen[c]:
-                    seen[c] = True
-                    order.append(c)
-                    paths.append(f"{paths[k]}[{i}]")
-                    depths.append(depths[k] + 1)
-                elif c >= 0:  # past the node list, or reached twice
-                    cut.append((k, i, c))
-        sizes = [len(nodes[node]) for node in order]
-        rows = np.concatenate([nodes[node] for node in order])  # every entry id, as often as a node lists it
+        unreached = np.arange(len(nodes)) != self._root
+        level, walk = np.array([self._root]), []
+        while level.size:  # breadth first, children in entry order
+            ids = np.concatenate([nodes[k] for k in level.tolist()])
+            c = child[ids]
+            walk.append((level, np.full(len(level), len(walk)), ids, cut := c >= 0))
+            new = np.flatnonzero(cut & (c < len(nodes)))
+            new = new[unreached[c[new]]]
+            new = np.sort(new[np.unique(c[new], return_index=True)[1]])  # the level's first pointer to each node
+            cut[new] = False  # the rest point past the node list, or to a node reached before
+            level = c[new]
+            unreached[level] = False
+        order, depths, rows, cut = map(np.concatenate, zip(*walk))  # rows: every entry id, as often as listed
+        sizes = np.fromiter(map(len, nodes), np.intp, len(nodes))[order]
         node_of = np.repeat(np.arange(len(order)), sizes)
-        first = np.cumsum([0, *sizes])  # walk position of each walked node's first entry
+        first = np.concatenate(([0], np.cumsum(sizes)))  # walk position of each walked node's first entry
+        inner = np.flatnonzero(~(leaf[rows] | cut))  # walked node k + 1 hangs from the entry at inner[k]
 
-        def label(k: int) -> str:  # the path of the entry at walk position k
-            return f"{paths[node_of[k]]}[{k - first[node_of[k]]}]"
+        def path(k) -> str:  # of walked node k
+            return label(inner[k - 1]) if k else "root"
 
-        for k, node in enumerate(order):
-            if node in off_table:
-                issues.append(f"{paths[k]}: entry ids {off_table[node]} outside the table of {self._n} rows")
-        for k in np.flatnonzero(np.array(sizes) > self.branching_factor).tolist():
-            issues.append(f"{paths[k]}: {sizes[k]} entries > B")
+        def label(p) -> str:  # of the entry at walk position p
+            return f"{path(node_of[p])}[{p - first[node_of[p]]}]"
+
+        for k in np.flatnonzero(np.isin(order, list(off_table))).tolist():
+            issues.append(f"{path(k)}: entry ids {off_table[order[k]]} outside the table of {self._n} rows")
+        for k in np.flatnonzero(sizes > self.branching_factor).tolist():
+            issues.append(f"{path(k)}: {sizes[k]} entries > B")
         leaf_depth = self._height(nodes) - 1
-        at_leaf_depth = np.array(depths) == leaf_depth
-        for k in dict.fromkeys(node_of[(child[rows] < 0) != at_leaf_depth[node_of]].tolist()):  # once per node
+        at_leaf_depth = depths == leaf_depth
+        for k in dict.fromkeys(node_of[leaf[rows] != at_leaf_depth[node_of]].tolist()):  # once per node
             kind = "inner" if at_leaf_depth[k] else "leaf"
-            issues.append(f"{paths[k]}: {kind} entry at depth {depths[k]} of a height-{leaf_depth + 1} tree")
-        for k, i, c in cut:
+            issues.append(f"{path(k)}: {kind} entry at depth {depths[k]} of a height-{leaf_depth + 1} tree")
+        for p in np.flatnonzero(cut).tolist():
+            c = child[rows[p]]
             fault = f"past the {len(nodes)} nodes" if c >= len(nodes) else "reached twice: a cycle or a shared node"
-            issues.append(f"{paths[k]}[{i}]: child node {c} {fault}")
+            issues.append(f"{label(p)}: child node {c} {fault}")
 
         listed = np.bincount(rows, minlength=self._n)
         if (bad := np.flatnonzero(listed != 1)).size:
@@ -377,24 +387,16 @@ class CFTree:
             hi = min(lo + AUDIT_BATCH_ROWS, cached)
             fresh[lo:hi] = (self._cent[lo:hi] == self._ls[lo:hi] / count[lo:hi, None]).all(axis=1)
         for k in dict.fromkeys(node_of[~fresh[rows]].tolist()):  # once per node
-            issues.append(f"{paths[k]}: stale centroid cache")
+            issues.append(f"{path(k)}: stale centroid cache")
 
-        leaves = np.flatnonzero(child[rows] < 0)  # walk positions of the leaf entries
-        n = count[rows[leaves]]
-        r = _radii(n, self._ls[rows[leaves]], self._ss[rows[leaves]])
-        for k in np.flatnonzero((n >= 2) & (r > self.threshold + 1e-9)):
-            issues.append(f"{label(leaves[k])}: radius {r[k]:.6g} > T")
+        many = np.flatnonzero(leaf & (count >= 2))  # in table order: the leaf entries whose radius is checked
+        r = _radii(count[many], self._ls.take(many, axis=0), self._ss.take(many, axis=0))
+        for p in np.flatnonzero(np.isin(rows, many[r > self.threshold + 1e-9])).tolist():  # each listing of one
+            issues.append(f"{label(p)}: radius {r[np.searchsorted(many, rows[p])]:.6g} > T")
 
-        followed = child[rows] >= 0
-        followed[[first[k] + i for k, i, _ in cut]] = False
-        inner = np.flatnonzero(followed)  # walk positions of the inner entries the walk followed
-        kids = [nodes[c] for c in child[rows[inner]].tolist()]
-        seg = np.repeat(np.arange(len(kids)), [len(ids) for ids in kids])
-        kids = np.concatenate([rows[:0], *kids])
-
-        def child_sums(col: np.ndarray) -> np.ndarray:
-            out = np.zeros((len(inner), *col.shape[1:]), dtype=col.dtype)
-            np.add.at(out, seg, col[kids])
+        def child_sums(col: np.ndarray) -> np.ndarray:  # per inner entry, its child's rows added in order as merge does
+            out, full = np.zeros((len(inner), *col.shape[1:]), dtype=col.dtype), sizes[1:] > 0
+            out[full] = np.add.reduceat(col.take(rows[first[1]:], axis=0), first[1:-1][full] - first[1])
             return out
 
         got, want = count[rows[inner]], child_sums(count)
@@ -402,15 +404,15 @@ class CFTree:
             issues.append(f"{label(inner[k])}: count {got[k]} != child sum {want[k]}")
         for name, col in (("linear_sum", self._ls), ("square_sum", self._ss)):
             # np.allclose, row by row
-            close = np.isclose(col[rows[inner]], child_sums(col), rtol=CF_SUM_RTOL, atol=1e-12).all(axis=1)
+            close = np.isclose(col.take(rows[inner], axis=0), child_sums(col), rtol=CF_SUM_RTOL, atol=1e-12).all(axis=1)
             for k in inner[~close]:
                 issues.append(f"{label(k)}: {name} differs from child sum")
 
-        mass = int(n.sum())
+        mass = int(count[leaf] @ listed[leaf])
         if mass != self.total_points:
             issues.append(f"mass {mass} != inserted {self.total_points}")
         if self._dominant_alpha is not None:
-            want = np.flatnonzero((child < 0) & (count >= self._dominant_alpha))
+            want = np.flatnonzero(leaf & (count >= self._dominant_alpha))
             if not np.array_equal(np.sort(self._dominant[: self._n_dominant]), want):  # missing, extra or duplicated
                 issues.append(f"dominant registry out of sync with leaf counts at alpha {self._dominant_alpha}")
         return issues

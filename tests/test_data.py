@@ -175,6 +175,14 @@ class TestSynthStream:
         assert out.mean() == pytest.approx(100.0, abs=0.5)
         assert out.std() == pytest.approx(5.0, abs=0.3)
 
+    @pytest.mark.parametrize("dim", [2.0, 2.5, "2"])
+    def test_rejects_a_non_integer_dimension(self, dim):
+        with pytest.raises(ConfigError, match="^dimension must be an integer"):
+            synth_stream(ScenarioSpec(25.0, 10.0, 4, seed=1), dim)
+
+    def test_accepts_a_numpy_integer_dimension(self):
+        assert synth_stream(ScenarioSpec(25.0, 10.0, 4, seed=1), np.int64(3)).shape == (4, 3)
+
     @given(st.integers(0, 2**31), st.integers(1, 50))
     @settings(max_examples=50, deadline=None)
     def test_domain_property(self, seed, count):
@@ -211,6 +219,19 @@ class TestRandomSplit:
         ds = load_air_quality(fixtures_dir / "plain_small.csv")
         with pytest.raises(ConfigError):
             random_split(ds, 10, seed=1)
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, "2"])
+    def test_rejects_a_non_integer_partition_count(self, n):
+        from synalloc import Dataset
+
+        with pytest.raises(ConfigError, match="^n_partitions must be an integer"):
+            random_split(Dataset(np.ones((10, 5)), list("abcde"), "x"), n, seed=1)
+
+    def test_accepts_a_numpy_integer_partition_count(self):
+        from synalloc import Dataset
+
+        parts = random_split(Dataset(np.ones((10, 5)), list("abcde"), "x"), np.int64(2), seed=1)
+        assert len(parts) == 2
 
 
 class TestSyntheticInit:
@@ -263,3 +284,23 @@ class TestSyntheticInit:
         spec = ScenarioSpec(25.0, 10.0, 100, seed=1)
         parts = synthetic_partitions(SyntheticInit(per_partition=np.int64(7)), spec, n=2, dim=3, seed=8)
         assert [p.shape for p in parts] == [(7, 3), (7, 3)]
+
+    @pytest.mark.parametrize("field,value", [("n", 2.5), ("n", 2.0), ("dim", 2.5), ("dim", "5")])
+    def test_rejects_non_integer_counts(self, field, value):
+        spec = ScenarioSpec(25.0, 10.0, 100, seed=1)
+        name = {"n": "n_partitions", "dim": "dimension"}[field]
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            synthetic_partitions(SyntheticInit(per_partition=5), spec, **{"n": 2, "dim": 5, field: value}, seed=1)
+
+    @pytest.mark.parametrize("field,message", [("n", "need at least one partition"),
+                                               ("dim", "dimension must be >= 1")])
+    def test_rejects_empty_counts(self, field, message):
+        """With dim 0 every row is all zero, and all-zero rows would be redrawn forever."""
+        spec = ScenarioSpec(25.0, 10.0, 100, seed=1)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            synthetic_partitions(SyntheticInit(per_partition=5), spec, **{"n": 2, "dim": 5, field: 0}, seed=1)
+
+    def test_accepts_numpy_integer_counts(self):
+        spec = ScenarioSpec(25.0, 10.0, 100, seed=1)
+        parts = synthetic_partitions(SyntheticInit(per_partition=4), spec, n=np.int32(3), dim=np.int64(2), seed=1)
+        assert [p.shape for p in parts] == [(4, 2)] * 3

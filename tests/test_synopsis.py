@@ -50,6 +50,104 @@ def merge_fold(cfs: list[ClusterFeature]) -> ClusterFeature:
     return out
 
 
+def reference_consistency_issues(tree: CFTree) -> list[str]:
+    """``CFTree.consistency_issues`` as a breadth-first loop with a path string per node: the audit's reference."""
+    issues: list[str] = []
+    count, child = tree.counts, tree._child[: tree._n]
+    nodes = tree._nodes  # what the audit reads: ids outside the table dropped, and reported below
+    off_table: dict[int, list[int]] = {}
+    listed_ids = np.concatenate(nodes)
+    if ((listed_ids < 0) | (listed_ids >= tree._n)).any():
+        nodes = list(nodes)
+        for k, ids in enumerate(tree._nodes):
+            if (bad := (ids < 0) | (ids >= tree._n)).any():
+                off_table[k], nodes[k] = ids[bad].tolist(), ids[~bad]
+    if not 0 <= tree._root < len(nodes):  # every check below reads the walk from the root
+        return [f"root node id {tree._root} outside the {len(nodes)} nodes"]
+    order, paths, depths = [tree._root], ["root"], [0]  # per walked node, parents before children
+    seen = [False] * len(nodes)
+    seen[tree._root] = True
+    cut: list[tuple[int, int, int]] = []  # (walk index, position, child) of each pointer not followed
+    for k, node in enumerate(order):  # breadth first: order grows as the walk goes
+        for i, c in enumerate(child[nodes[node]].tolist()):
+            if 0 <= c < len(nodes) and not seen[c]:
+                seen[c] = True
+                order.append(c)
+                paths.append(f"{paths[k]}[{i}]")
+                depths.append(depths[k] + 1)
+            elif c >= 0:  # past the node list, or reached twice
+                cut.append((k, i, c))
+    sizes = [len(nodes[node]) for node in order]
+    rows = np.concatenate([nodes[node] for node in order])  # every entry id, as often as a node lists it
+    node_of = np.repeat(np.arange(len(order)), sizes)
+    first = np.cumsum([0, *sizes])  # walk position of each walked node's first entry
+
+    def label(k: int) -> str:  # the path of the entry at walk position k
+        return f"{paths[node_of[k]]}[{k - first[node_of[k]]}]"
+
+    for k, node in enumerate(order):
+        if node in off_table:
+            issues.append(f"{paths[k]}: entry ids {off_table[node]} outside the table of {tree._n} rows")
+    for k in np.flatnonzero(np.array(sizes) > tree.branching_factor).tolist():
+        issues.append(f"{paths[k]}: {sizes[k]} entries > B")
+    leaf_depth = tree._height(nodes) - 1
+    at_leaf_depth = np.array(depths) == leaf_depth
+    for k in dict.fromkeys(node_of[(child[rows] < 0) != at_leaf_depth[node_of]].tolist()):  # once per node
+        kind = "inner" if at_leaf_depth[k] else "leaf"
+        issues.append(f"{paths[k]}: {kind} entry at depth {depths[k]} of a height-{leaf_depth + 1} tree")
+    for k, i, c in cut:
+        fault = f"past the {len(nodes)} nodes" if c >= len(nodes) else "reached twice: a cycle or a shared node"
+        issues.append(f"{paths[k]}[{i}]: child node {c} {fault}")
+
+    listed = np.bincount(rows, minlength=tree._n)
+    if (bad := np.flatnonzero(listed != 1)).size:
+        issues.append(f"{bad.size} entries not listed exactly once under the root "
+                      f"(entry {bad[0]}: {listed[bad[0]]} times)")
+    fresh = np.zeros(tree._n, dtype=bool)  # a row the cache table lacks counts as stale
+    cached = min(tree._n, len(tree._cent))
+    for lo in range(0, cached, synopsis.AUDIT_BATCH_ROWS):
+        hi = min(lo + synopsis.AUDIT_BATCH_ROWS, cached)
+        fresh[lo:hi] = (tree._cent[lo:hi] == tree._ls[lo:hi] / count[lo:hi, None]).all(axis=1)
+    for k in dict.fromkeys(node_of[~fresh[rows]].tolist()):  # once per node
+        issues.append(f"{paths[k]}: stale centroid cache")
+
+    leaves = np.flatnonzero(child[rows] < 0)  # walk positions of the leaf entries
+    n = count[rows[leaves]]
+    r = synopsis._radii(n, tree._ls[rows[leaves]], tree._ss[rows[leaves]])
+    for k in np.flatnonzero((n >= 2) & (r > tree.threshold + 1e-9)):
+        issues.append(f"{label(leaves[k])}: radius {r[k]:.6g} > T")
+
+    followed = child[rows] >= 0
+    followed[[first[k] + i for k, i, _ in cut]] = False
+    inner = np.flatnonzero(followed)  # walk positions of the inner entries the walk followed
+    kids = [nodes[c] for c in child[rows[inner]].tolist()]
+    seg = np.repeat(np.arange(len(kids)), [len(ids) for ids in kids])
+    kids = np.concatenate([rows[:0], *kids])
+
+    def child_sums(col: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(inner), *col.shape[1:]), dtype=col.dtype)
+        np.add.at(out, seg, col[kids])
+        return out
+
+    got, want = count[rows[inner]], child_sums(count)
+    for k in np.flatnonzero(got != want):
+        issues.append(f"{label(inner[k])}: count {got[k]} != child sum {want[k]}")
+    for name, col in (("linear_sum", tree._ls), ("square_sum", tree._ss)):
+        # np.allclose, row by row
+        close = np.isclose(col[rows[inner]], child_sums(col), rtol=synopsis.CF_SUM_RTOL, atol=1e-12).all(axis=1)
+        for k in inner[~close]:
+            issues.append(f"{label(k)}: {name} differs from child sum")
+
+    mass = int(n.sum())
+    if mass != tree.total_points:
+        issues.append(f"mass {mass} != inserted {tree.total_points}")
+    if tree._dominant_alpha is not None:
+        want = np.flatnonzero((child < 0) & (count >= tree._dominant_alpha))
+        if not np.array_equal(np.sort(tree._dominant[: tree._n_dominant]), want):  # missing, extra or duplicated
+            issues.append(f"dominant registry out of sync with leaf counts at alpha {tree._dominant_alpha}")
+    return issues
+
+
 def cf_of(points) -> ClusterFeature:
     cf = ClusterFeature.from_point(np.asarray(points[0], dtype=np.float64))
     for p in points[1:]:
@@ -387,6 +485,68 @@ class TestCFTree:
             changed = new != old
         assert bool(tree.consistency_issues()) == changed
 
+    AUDIT_FAULTS = ["child", "listed_id", "truncated", "emptied", "listed_twice", "copied", "root"]
+
+    @staticmethod
+    def _corrupt(tree, fault, data):
+        """Apply one ``fault``, its place and value drawn from ``data``, to ``tree``."""
+        node = data.draw(st.integers(0, len(tree._nodes) - 1))
+        ids = tree._nodes[node]
+        if fault == "child":  # any pointer, in range or not, or one an inner entry already holds
+            inner = np.flatnonzero(tree._child[: tree._n] >= 0).tolist() or [0]
+            e = data.draw(st.integers(0, tree._n - 1) | st.sampled_from(inner))
+            held = st.sampled_from(tree._child[inner].tolist())
+            tree._child[e] = data.draw(st.integers(-2, len(tree._nodes) + 2) | held)
+        elif fault == "listed_id" and len(ids):
+            ids[data.draw(st.integers(0, len(ids) - 1))] = data.draw(st.integers(-2, tree._n + 2))
+        elif fault == "truncated":
+            tree._nodes[node] = ids[: data.draw(st.integers(0, len(ids)))]
+        elif fault == "emptied":
+            tree._nodes[node] = ids[:0]
+        elif fault == "listed_twice" and len(ids):
+            tree._nodes[node] = np.append(ids, ids[data.draw(st.integers(0, len(ids) - 1))])
+        elif fault == "copied":  # two nodes list the same entries
+            tree._nodes[node] = tree._nodes[data.draw(st.integers(0, len(tree._nodes) - 1))].copy()
+        elif fault == "root":
+            tree._root = data.draw(st.integers(-1, len(tree._nodes)))
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: st.lists(hnp.arrays(np.float64, d, elements=st.floats(0, 10, allow_nan=False)),
+                               min_size=10, max_size=120)
+        ),
+        st.floats(0.05, 5.0),
+        st.integers(2, 5),
+        st.lists(st.sampled_from(AUDIT_FAULTS), min_size=1, max_size=3),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_audit_matches_the_reference_walk(self, pts, threshold, branching, faults, data):
+        """After 1-3 corruptions, the same issues as the breadth-first reference, string for string and in order."""
+        tree = CFTree(dimension=len(pts[0]), threshold=threshold, branching_factor=branching)
+        for row in pts:
+            tree.insert(row)
+        for fault in faults:
+            self._corrupt(tree, fault, data)
+        assert tree.consistency_issues() == reference_consistency_issues(tree)
+
+    def test_audit_passes_a_deep_healthy_tree(self, rng):
+        tree = CFTree(dimension=2, threshold=0.01, branching_factor=3)
+        for row in rng.uniform(0.0, 10.0, size=(400, 2)):
+            tree.insert(row)
+        assert tree.height() >= 6
+        assert tree.consistency_issues() == [] == reference_consistency_issues(tree)
+
+    def test_audit_follows_the_first_of_two_pointers_to_a_node_in_one_level(self, rng):
+        tree = self._audited_tree(rng)
+        first, second = (tree._nodes[tree._child[e]][0] for e in tree._nodes[tree._root][:2])  # root[0][0], root[1][0]
+        shared = int(tree._child[first])
+        tree._child[second] = shared
+        issues = tree.consistency_issues()
+        assert f"root[1][0]: child node {shared} reached twice: a cycle or a shared node" in issues
+        assert not [i for i in issues if i.startswith("root[0][0]: child node")]
+        assert issues == reference_consistency_issues(tree)
+
     def test_rejects_bad_vectors(self):
         tree = CFTree(dimension=2, threshold=1.0)
         with pytest.raises(VectorError):
@@ -405,6 +565,13 @@ class TestCFTree:
             CFTree(dimension=2, threshold=-1.0)
         with pytest.raises(ConfigError):
             CFTree(dimension=2, threshold=1.0, branching_factor=1)
+
+    def test_rejects_a_none_threshold(self):
+        from synalloc import ConfigError, EngineConfig
+
+        with pytest.raises(ConfigError, match="^threshold must be positive"):
+            CFTree(2, None)
+        assert EngineConfig(threshold=None).threshold is None  # the engine scales it to each partition's data
 
     @pytest.mark.parametrize("field", ["dimension", "branching_factor"])
     @pytest.mark.parametrize("value", [2.0, 2.5])
