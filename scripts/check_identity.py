@@ -40,9 +40,9 @@ length:
   published rows;
 - branching factor 3 (presets 1 and 2, the alpha-crossing configuration
   and ``validate --seed 9``), so that trees grow deep and a node splits
-  every few inserts, and branching factor 16 (preset 3 and the
+  every few inserts, and branching factor 16 (presets 3 and 1 and the
   multi-centroid configuration), so that split groups hold up to 16
-  entries;
+  entries and preset 1's root fallback folds up to 16 root entries;
 - ``validate --seed 9`` at threshold 1.0 with 3000 initial vectors per
   partition, whose audit walks trees of thousands of entries per level;
 - the ``--help`` text of ``run``, ``validate`` and ``stats``.
@@ -103,8 +103,9 @@ def cases() -> list[tuple[str, list[str]]]:
     out.append(("validate-seed9-branching3", ["validate", "--seed", "9", "--branching", "3"]))
     out.append(("validate-seed9-threshold1-init3000", ["validate", "--seed", "9", "--threshold", "1.0",
                                                        "--init-per-partition", "3000"]))
-    out.append(("run-s3-seed3-branching16",
-                ["run", "--scenario", "3", "--seed", "3", "--branching", "16", *outputs]))
+    out.extend((f"run-s{scenario}-seed{scenario}-branching16",
+                ["run", "--scenario", str(scenario), "--seed", str(scenario), "--branching", "16", *outputs])
+               for scenario in (3, 1))
     out.append(("run-multi-centroid-branching16", ["run", "--scenario", "1", "--seed", "1", *MULTI_CENTROID,
                                                    "--outlier-k", "1.35", "--branching", "16", *outputs]))
     out.extend((f"help-{command}", [command, "--help"]) for command in ("run", "validate", "stats"))

@@ -163,13 +163,18 @@ class AllocationEngine:
         self._bounded = sums_in_bound(self._sums)
 
     def _publish(self, pid: int, syn: Synopsis) -> None:
-        """Make ``syn`` partition ``pid``'s synopsis and bring the routing matrix up to date."""
+        """Make ``syn`` partition ``pid``'s synopsis and bring the routing matrix up to date.
+
+        With the row count unchanged the rows are patched in place and summed where they
+        lie; the flag is then re-derived from the patched sums, with a scan of every row
+        only when it was down (a row outside the bound may be the one replaced).
+        """
         self.partitions[pid - 1].current_synopsis = syn
         lo, hi = self._offsets[pid - 1], self._offsets[pid]
         if hi - lo == len(syn.centroids):  # same row count: patch the partition's rows in place
             self._centroids[lo:hi] = syn.centroids
-            self._sums[lo:hi] = centroid_sums(syn.centroids)
-            self._bounded = sums_in_bound(self._sums)
+            patched = np.add.reduce(self._centroids[lo:hi], axis=1, out=self._sums[lo:hi])
+            self._bounded = sums_in_bound(patched) and (self._bounded or sums_in_bound(self._sums))
         else:
             self._stack_synopses()
 
@@ -250,17 +255,9 @@ class AllocationEngine:
         cfg = self.config
         numbered = list(enumerate(self.partitions, start=1))
 
-        mass_ok = True
-        for pid, p in numbered:
-            registry_mass = int(p.tree.counts[p.tree.leaf_entries()].sum())
-            if registry_mass != p.tree.total_points:
-                mass_ok = False
-                issues.append(
-                    f"partition {pid}: leaf mass {registry_mass} "
-                    f"!= inserted {p.tree.total_points}"
-                )
-        if self.total_points() != sum(p.initial_count for p in self.partitions) + self._t:
-            mass_ok = False
+        # Each tree's leaf mass against its inserts is consistency_issues' check, under cf_consistency.
+        mass_ok = self.total_points() == sum(p.initial_count for p in self.partitions) + self._t
+        if not mass_ok:
             issues.append("total tree mass != initial + accepted ingests")
 
         cf_ok = True

@@ -180,7 +180,7 @@ class CFTree:
         if len(ids):  # the squared radius entry e would have after absorbing v, off its table row
             n = int(self._count[e]) + 1
             ls = self._ls[e] + v
-            r2 = (self._ss[e].sum() + float(v @ v)) / n - float(ls @ ls) / (n * n)
+            r2 = (np.add.reduce(self._ss[e]) + float(v @ v)) / n - float(ls @ ls) / (n * n)
             absorbs = r2 <= self.threshold * self.threshold
         if absorbs:
             leaf = e
@@ -243,12 +243,14 @@ class CFTree:
 
     def _fold(self, ids: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
         """Count and sums of rows ``ids``, added in order as a fold of ``ClusterFeature.merge``."""
-        # cumsum adds row after row; sum(axis=0) would sum pairwise at dimension 1.
-        return int(self._count[ids].sum()), self._ls[ids].cumsum(axis=0)[-1], self._ss[ids].cumsum(axis=0)[-1]
+        # accumulate adds row after row (it is cumsum without the method's wrapper); add.reduce,
+        # which sum(axis=0) calls, would add pairwise at dimension 1. Integer counts add exactly.
+        return (sum(self._count[ids].tolist()), np.add.accumulate(self._ls.take(ids, axis=0))[-1],
+                np.add.accumulate(self._ss.take(ids, axis=0))[-1])
 
     @staticmethod
     def _nearest(cents: np.ndarray, x: np.ndarray) -> int:
-        d2 = np.square(cents - x).sum(axis=1)
+        d2 = np.add.reduce(np.square(cents - x), axis=1)  # sum(axis=1) without its Python wrapper
         return int(d2.argmin())  # argmin takes the first minimum: lowest index
 
     def _split(self, node: int) -> int | None:
@@ -431,7 +433,9 @@ def extract_synopsis(
     (``CFTree.dominant_entries``), so a call with the same alpha as the last
     one is one sort of the dominant ids and four row gathers, O(dominant log
     dominant) in numpy, not O(leaves); the first call for an alpha scans every
-    leaf once. The fallback folds the root node's entries.
+    leaf once. The fallback is one in-order fold of the root node's entries
+    (``CFTree._fold``, as ``root_cf`` gives it) and one division, with no
+    ``ClusterFeature`` built on the way.
     """
     dom = tree.dominant_entries(alpha)  # checks alpha, ahead of the emptiness check
     if tree.total_points == 0:
@@ -441,7 +445,6 @@ def extract_synopsis(
         # take copies: an absorb updates the table's rows in place
         rows = [col.take(dom, axis=0) for col in (tree._count, tree._ls, tree._ss, tree._cent)]
     else:
-        root = tree.root_cf()
-        rows = [np.array([root.count], dtype=np.int64), root.linear_sum[None], root.square_sum[None],
-                root.centroid()[None]]
+        n, ls, ss = tree._fold(tree._nodes[tree._root])
+        rows = [np.array([n], dtype=np.int64), ls[None], ss[None], ls[None] / n]
     return Synopsis(partition_id, *rows, version)

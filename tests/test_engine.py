@@ -363,8 +363,16 @@ class TestAudit:
         tree._count[tree.leaf_entries()[0]] += 5
         report = eng.audit()
         assert not report.ok
-        assert not report.checks["mass_conservation"] and not report.checks["cf_consistency"]
-        assert any(i.startswith("partition 1: leaf mass ") for i in report.issues)
+        assert report.checks["mass_conservation"] and not report.checks["cf_consistency"]
+        n = tree.total_points  # the tree's own check reports the fault, once
+        assert [i for i in report.issues if " mass " in i] == [f"partition 1: mass {n + 5} != inserted {n}"]
+
+    def test_detects_an_ingest_no_tree_holds(self, rng):
+        eng = self._run_engine(rng)
+        eng._t += 1  # counted as accepted, stored nowhere
+        report = eng.audit()
+        assert not report.checks["mass_conservation"] and report.checks["cf_consistency"]
+        assert report.issues == ["total tree mass != initial + accepted ingests"]
 
     @pytest.mark.parametrize("fault", ["count_raised_across_alpha", "duplicate"])
     def test_detects_dominant_registry_fault(self, rng, fault):
@@ -665,6 +673,7 @@ class TestRoutingMatrix:
     """The matrix is patched in place or rebuilt on each publish; it must equal a fresh stack."""
 
     @given(
+        dimension=st.sampled_from([2, 8, 129]),  # numpy sums a row pairwise from M = 8 on
         seed=st.integers(0, 2**32 - 1),
         n_partitions=st.integers(1, 16),
         alpha_refresh=st.one_of(
@@ -672,20 +681,42 @@ class TestRoutingMatrix:
             st.tuples(st.integers(1, 5), st.integers(1, 7)),  # row counts grow as entries cross alpha
         ),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_equals_a_rebuild_after_every_ingest(self, seed, n_partitions, alpha_refresh):
+    @settings(max_examples=120, deadline=None)
+    def test_equals_a_rebuild_after_every_ingest(self, dimension, seed, n_partitions, alpha_refresh):
         alpha, refresh = alpha_refresh
         rng = np.random.default_rng(seed)
-        initial = [rng.uniform(0, 4, size=(8, 2)) + 3 * i for i in range(n_partitions)]
-        cfg = EngineConfig(n_partitions=n_partitions, dimension=2, alpha=alpha, threshold=1.0,
+        initial = [rng.uniform(0, 4, size=(8, dimension)) + 3 * i for i in range(n_partitions)]
+        cfg = EngineConfig(n_partitions=n_partitions, dimension=dimension, alpha=alpha, threshold=1.0,
                            refresh_interval=refresh)
         eng = AllocationEngine(cfg, initial)
-        for x in rng.uniform(0, 3 * n_partitions + 1, size=(60, 2)):
+        for x in rng.uniform(0, 3 * n_partitions + 1, size=(60, dimension)):
             eng.ingest(x)
             centroids, offsets = stack_centroids(eng.synopses)
             assert (eng._centroids.shape, eng._centroids.dtype) == (centroids.shape, centroids.dtype)
             assert eng._centroids.tobytes() == centroids.tobytes()
             assert (eng._offsets.dtype, eng._offsets.tobytes()) == (offsets.dtype, offsets.tobytes())
+            assert_sums_of_a_fresh_build(eng)
+
+    @pytest.mark.parametrize("dimension", [2, 8, 129])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_sums_and_flag_equal_a_rebuild_after_drawn_publishes(self, dimension, data):
+        """Zero rows and rows summing above 2^1020 (out of the bound), in and out, rows added and dropped."""
+        n_partitions = data.draw(st.integers(1, 5))
+        eng = AllocationEngine(EngineConfig(n_partitions=n_partitions, dimension=dimension),
+                               [np.ones((2, dimension))] * n_partitions)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        huge = np.zeros(dimension)
+        huge[:2] = 2.0**1020, 2.0**1019  # sums to 1.5 * 2^1020
+        for _ in range(data.draw(st.integers(1, 12))):
+            pid = data.draw(st.integers(1, n_partitions))
+            kinds = data.draw(st.lists(st.sampled_from(["zero", "huge", "plain"]), min_size=1, max_size=4))
+            rows = [{"zero": np.zeros(dimension), "huge": huge}.get(k, rng.uniform(0, 1e4, dimension))
+                    for k in kinds]
+            sums, same_rows = eng._sums, len(eng.synopses[pid - 1].centroids) == len(rows)
+            with np.errstate(over="ignore"):  # the sums and square sums of 2^1020
+                eng._publish(pid, make_synopsis(rows, partition_id=pid))
+            assert (eng._sums is sums) == same_rows
             assert_sums_of_a_fresh_build(eng)
 
     def test_sums_and_flag_follow_a_zero_row_in_and_out(self):

@@ -338,7 +338,7 @@ class TestCFTree:
                 want = [tree.entry_cf(e).centroid() for e in ids]
                 assert tree._cent[ids].tobytes() == np.array(want).tobytes()
 
-    @pytest.mark.parametrize("branching", [3, 12])
+    @pytest.mark.parametrize("branching", [3, 12, 16])
     def test_sums_fold_in_entry_order_at_dimension_one(self, rng, branching):
         """The root CF and every parent entry a split makes equal an in-order merge, bit for bit.
 
@@ -644,6 +644,22 @@ class TestExtractSynopsis:
         assert len(syn.dominant) == 1
         assert syn.dominant[0].count == 10
         assert np.allclose(syn.centroids[0], tree.root_cf().centroid())
+
+    @given(st.sampled_from([1, 2, 5, 8, 129]), st.sampled_from([2, 3, 8, 16]), st.integers(0, 2**32 - 1),
+           st.integers(1, 60), st.floats(0.1, 10.0))
+    @settings(max_examples=100, deadline=None)
+    def test_root_fallback_is_the_root_cf_bit_for_bit(self, dimension, branching, seed, n, threshold):
+        """Below alpha the one row equals ``root_cf()`` and an in-order merge of the root's entries."""
+        tree = CFTree(dimension, threshold, branching)
+        for x in np.random.default_rng(seed).uniform(0.0, 20.0, size=(n, dimension)):
+            tree.insert(x)
+            syn = extract_synopsis(tree, alpha=n + 1, partition_id=1, version=1)
+            assert syn.counts.dtype == np.int64
+            for cf in (tree.root_cf(), merge_fold([tree.entry_cf(e) for e in tree._nodes[tree._root]])):
+                assert syn.counts.tolist() == [cf.count]
+                for got, want in ((syn.linear_sums, cf.linear_sum), (syn.square_sums, cf.square_sum),
+                                  (syn.centroids, cf.centroid())):
+                    assert got.shape == (1, dimension) and got.tobytes() == want.tobytes()
 
     def test_centroids_align_with_dominant(self):
         tree = self._tree_with_clusters([80, 60])
