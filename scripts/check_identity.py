@@ -45,7 +45,12 @@ length:
   entries and preset 1's root fallback folds up to 16 root entries;
 - ``validate --seed 9`` at threshold 1.0 with 3000 initial vectors per
   partition, whose audit walks trees of thousands of entries per level;
-- the ``--help`` text of ``run``, ``validate`` and ``stats``.
+- the ``--help`` text of ``run``, ``validate`` and ``stats``;
+- ``run`` with one bad setting each, which must exit 1 before any vector
+  is routed: 0 partitions, branching factor 1, refresh interval 0, alpha 0,
+  0 initial vectors per partition, a custom stream of -1 vectors, and seed
+  clusters of sigma inf, spread NaN or sigma 1e308 (whose draws overflow to
+  inf, so the initial data, not the threshold, is what fails).
 
 Every output file, stdout, stderr and the exit code must match byte for
 byte. The exit code is 1 when anything differs, 0 otherwise.
@@ -109,6 +114,17 @@ def cases() -> list[tuple[str, list[str]]]:
     out.append(("run-multi-centroid-branching16", ["run", "--scenario", "1", "--seed", "1", *MULTI_CENTROID,
                                                    "--outlier-k", "1.35", "--branching", "16", *outputs]))
     out.extend((f"help-{command}", [command, "--help"]) for command in ("run", "validate", "stats"))
+    out.extend((f"error-{name}", ["run", *flags]) for name, flags in (
+        ("partitions0", ["--partitions", "0"]),
+        ("branching1", ["--branching", "1"]),
+        ("refresh0", ["--refresh", "0"]),
+        ("alpha0", ["--alpha", "0"]),
+        ("init-per-partition0", ["--init-per-partition", "0"]),
+        ("custom-vectors-1", ["--scenario", "custom", "--mu", "25", "--sigma", "10", "--vectors", "-1"]),
+        ("init-sigma-inf", ["--init-sigma", "inf"]),
+        ("init-spread-nan", ["--init-spread", "nan"]),
+        ("init-sigma-1e308", ["--init-sigma", "1e308"]),
+    ))
     return out
 
 

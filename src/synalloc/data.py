@@ -51,9 +51,7 @@ class ScenarioSpec:
             raise ConfigError("mu must be finite")
         if not 0 < self.sigma < math.inf:  # NaN fails both comparisons
             raise ConfigError("sigma must be positive and finite")
-        check_int(self.count, "count")
-        if self.count < 0:
-            raise ConfigError("count must be >= 0")
+        check_int(self.count, "count", 0)
 
 
 def _canon(name: str) -> str:
@@ -140,9 +138,7 @@ def _gaussian_block(
 
 def synth_stream(spec: ScenarioSpec, dim: int) -> np.ndarray:
     """Deterministic stream of ``spec.count`` non-negative vectors."""
-    check_int(dim, "dimension")
-    if dim < 1:
-        raise ConfigError("dimension must be >= 1")
+    check_int(dim, "dimension", 1)
     rng = np.random.default_rng(spec.seed)
     if spec.count == 0:
         return np.empty((0, dim))
@@ -151,9 +147,7 @@ def synth_stream(spec: ScenarioSpec, dim: int) -> np.ndarray:
 
 def random_split(ds: Dataset, n: int, seed: int) -> list[np.ndarray]:
     """Assign every row to one of ``n`` partitions uniformly at random."""
-    check_int(n, "n_partitions")
-    if n < 1:
-        raise ConfigError("need at least one partition")
+    check_int(n, "n_partitions", 1)
     if n > ds.n_rows:
         raise ConfigError(f"cannot split {ds.n_rows} rows into {n} partitions")
     assign = np.random.default_rng(seed).integers(0, n, size=ds.n_rows)
@@ -170,7 +164,10 @@ class SyntheticInit:
     defaults to half the stream sigma and ``spread`` to the stream sigma;
     with five partitions that ladder keeps the heaviest stream share on an
     interior partition, whose both-sided catchment stays tighter than the
-    generating distribution.
+    generating distribution. ``per_partition`` is an integer >= 1, ``sigma``
+    positive and ``spread`` non-negative, both finite (NaN fails); a draw
+    that still overflows to inf is caught by the engine, which checks the
+    initial data before it scales a threshold to it.
     """
 
     per_partition: int = 500
@@ -178,25 +175,19 @@ class SyntheticInit:
     spread: float | None = None
 
     def __post_init__(self):
-        check_int(self.per_partition, "per_partition")
-        if self.per_partition < 1:
-            raise ConfigError("per_partition must be >= 1")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ConfigError("init sigma must be positive")
-        if self.spread is not None and self.spread < 0:
-            raise ConfigError("init spread must be >= 0")
+        check_int(self.per_partition, "per_partition", 1)
+        if self.sigma is not None and not 0 < self.sigma < math.inf:  # NaN fails both comparisons
+            raise ConfigError("init sigma must be positive and finite")
+        if self.spread is not None and not 0 <= self.spread < math.inf:
+            raise ConfigError("init spread must be >= 0 and finite")
 
 
 def synthetic_partitions(
     init: SyntheticInit, scenario: ScenarioSpec, n: int, dim: int, seed: int
 ) -> list[np.ndarray]:
     """Initial per-partition point sets for synthetic-only runs."""
-    check_int(n, "n_partitions")
-    check_int(dim, "dimension")
-    if n < 1:
-        raise ConfigError("need at least one partition")
-    if dim < 1:  # a row of no components is all zero, and all-zero rows are redrawn
-        raise ConfigError("dimension must be >= 1")
+    check_int(n, "n_partitions", 1)
+    check_int(dim, "dimension", 1)  # a row of no components is all zero, and all-zero rows are redrawn
     sigma = init.sigma if init.sigma is not None else scenario.sigma / 2.0
     spread = init.spread if init.spread is not None else scenario.sigma
     offsets = np.arange(1, n + 1) - (n + 1) / 2.0

@@ -35,6 +35,9 @@ from .validation import as_vector, check_int
 # Data-scaled leaf threshold: this fraction of the RMS per-dimension std of
 # a partition's initial data, when no explicit threshold is configured.
 THRESHOLD_STD_FACTOR = 0.5
+# It is floored at this fraction of the largest component: square sums resolve a radius only to
+# ~1.5e-8 (sqrt of float64's eps) of the magnitude, and identical rows (std 0) need a threshold above that.
+THRESHOLD_FLOOR_FACTOR = 1e-6
 
 # What json.dumps(..., separators=(",", ":")) encodes with, built once rather than per record.
 _JSON = json.JSONEncoder(separators=(",", ":"))
@@ -53,15 +56,9 @@ class EngineConfig:
 
     def __post_init__(self):
         for name in ("n_partitions", "alpha", "refresh_interval"):
-            check_int(getattr(self, name), name)
-        if self.n_partitions < 1:
-            raise ConfigError("need at least one partition")
-        if self.alpha < 1:
-            raise ConfigError("alpha must be >= 1")
+            check_int(getattr(self, name), name, 1)
         _check_tree_params(self.dimension, self.threshold, self.branching_factor)
         _check_weight_params(self.theta, self.outlier_k)
-        if self.refresh_interval < 1:
-            raise ConfigError("refresh interval must be >= 1")
 
 
 @dataclass
@@ -103,9 +100,9 @@ class AuditReport:
 
 
 def default_threshold(points: np.ndarray) -> float:
-    """Leaf threshold scaled to the data: half the RMS per-dimension std."""
+    """Leaf threshold scaled to the data: half the RMS per-dimension std, floored by the magnitude."""
     t = THRESHOLD_STD_FACTOR * float(np.sqrt(points.var(axis=0).mean()))
-    return max(t, 1e-12)  # all-identical initial data would otherwise give 0
+    return max(t, THRESHOLD_FLOOR_FACTOR * float(points.max()), 1e-12)  # 1e-12: all-zero rows
 
 
 def stack_centroids(synopses: Sequence[Synopsis]) -> tuple[np.ndarray, np.ndarray]:
@@ -141,6 +138,10 @@ class AllocationEngine:
                     f"partition {i}: initial data has dimension {pts.shape[1]}, "
                     f"expected {config.dimension}"
                 )
+            try:  # before default_threshold reads it, so that bad data is not reported as a bad threshold
+                as_vector(pts.ravel(), nonneg=True)
+            except VectorError as exc:
+                raise ConfigError(f"partition {i}: {exc}") from None
             thr = config.threshold or default_threshold(pts)
             tree = CFTree(config.dimension, thr, config.branching_factor)
             for row in pts:

@@ -9,12 +9,14 @@ import numpy as np
 from .errors import ConfigError, VectorError
 
 
-def check_int(value, name: str) -> None:
-    """Raise ConfigError unless ``value`` is an integer: numpy integers pass, 2.0 fails."""
+def check_int(value, name: str, minimum: int) -> None:
+    """Raise ConfigError unless ``value`` is an integer >= ``minimum``: numpy integers pass, 2.0 fails."""
     try:
-        operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if n < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")
 
 
 def as_vector(x, dim: int | None = None, nonneg: bool = False) -> np.ndarray:

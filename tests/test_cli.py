@@ -157,9 +157,13 @@ class TestExitCodes:
     def test_unknown_flag_is_config_error(self, capsys):
         assert run_cli("run", "--nonsense") == EXIT_CONFIG
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning on the way out fails the test
     def test_bad_engine_parameters_are_config_errors(self, capsys):
         assert run_cli("run", "--theta", "0.9", *FAST) == EXIT_CONFIG
         assert run_cli("run", "--outlier-k", "nan", *FAST) == EXIT_CONFIG
+        capsys.readouterr()
+        assert run_cli("run", "--init-sigma", "inf", *FAST) == EXIT_CONFIG  # not as a bad threshold
+        assert "init sigma" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mu, sigma, name", [
         ("inf", "1", "mu"), ("nan", "1", "mu"), ("25", "inf", "sigma"),

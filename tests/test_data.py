@@ -124,7 +124,7 @@ class TestScenarioSpec:
     def test_validation(self):
         with pytest.raises(ConfigError):
             ScenarioSpec(mu=25.0, sigma=0.0, count=10, seed=1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^count must be >= 0$"):
             ScenarioSpec(mu=25.0, sigma=10.0, count=-1, seed=1)
 
     @pytest.mark.parametrize("mu, sigma, name", [
@@ -143,6 +143,8 @@ class TestScenarioSpec:
     def test_accepts_a_numpy_integer_count(self):
         spec = ScenarioSpec(mu=25.0, sigma=10.0, count=np.int64(4), seed=1)
         assert synth_stream(spec, dim=5).shape == (4, 5)
+        spec = ScenarioSpec(mu=25.0, sigma=10.0, count=np.int64(0), seed=1)  # the minimum
+        assert synth_stream(spec, dim=5).shape == (0, 5)
 
     def test_zero_count_allowed(self):
         spec = ScenarioSpec(mu=25.0, sigma=10.0, count=0, seed=1)
@@ -182,6 +184,9 @@ class TestSynthStream:
 
     def test_accepts_a_numpy_integer_dimension(self):
         assert synth_stream(ScenarioSpec(25.0, 10.0, 4, seed=1), np.int64(3)).shape == (4, 3)
+        assert synth_stream(ScenarioSpec(25.0, 10.0, 4, seed=1), np.int64(1)).shape == (4, 1)  # the minimum
+        with pytest.raises(ConfigError, match="^dimension must be >= 1$"):
+            synth_stream(ScenarioSpec(25.0, 10.0, 4, seed=1), 0)
 
     @given(st.integers(0, 2**31), st.integers(1, 50))
     @settings(max_examples=50, deadline=None)
@@ -232,6 +237,10 @@ class TestRandomSplit:
 
         parts = random_split(Dataset(np.ones((10, 5)), list("abcde"), "x"), np.int64(2), seed=1)
         assert len(parts) == 2
+        parts = random_split(Dataset(np.ones((10, 5)), list("abcde"), "x"), np.int64(1), seed=1)  # the minimum
+        assert [len(p) for p in parts] == [10]
+        with pytest.raises(ConfigError, match="^n_partitions must be >= 1$"):
+            random_split(Dataset(np.ones((10, 5)), list("abcde"), "x"), 0, seed=1)
 
 
 class TestSyntheticInit:
@@ -268,12 +277,15 @@ class TestSyntheticInit:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^per_partition must be >= 1$"):
             SyntheticInit(per_partition=0)
-        with pytest.raises(ConfigError):
-            SyntheticInit(sigma=-1.0)
-        with pytest.raises(ConfigError):
-            SyntheticInit(spread=-0.1)
+        for sigma in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="^init sigma must be"):
+                SyntheticInit(sigma=sigma)
+        for spread in (-0.1, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="^init spread must be"):
+                SyntheticInit(spread=spread)
+        assert SyntheticInit(spread=0.0).spread == 0.0
 
     @pytest.mark.parametrize("per_partition", [2.0, 2.5, "2"])
     def test_rejects_a_non_integer_per_partition(self, per_partition):
@@ -284,6 +296,8 @@ class TestSyntheticInit:
         spec = ScenarioSpec(25.0, 10.0, 100, seed=1)
         parts = synthetic_partitions(SyntheticInit(per_partition=np.int64(7)), spec, n=2, dim=3, seed=8)
         assert [p.shape for p in parts] == [(7, 3), (7, 3)]
+        parts = synthetic_partitions(SyntheticInit(per_partition=np.int64(1)), spec, n=2, dim=3, seed=8)  # the minimum
+        assert [p.shape for p in parts] == [(1, 3), (1, 3)]
 
     @pytest.mark.parametrize("field,value", [("n", 2.5), ("n", 2.0), ("dim", 2.5), ("dim", "5")])
     def test_rejects_non_integer_counts(self, field, value):
@@ -292,15 +306,18 @@ class TestSyntheticInit:
         with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
             synthetic_partitions(SyntheticInit(per_partition=5), spec, **{"n": 2, "dim": 5, field: value}, seed=1)
 
-    @pytest.mark.parametrize("field,message", [("n", "need at least one partition"),
-                                               ("dim", "dimension must be >= 1")])
-    def test_rejects_empty_counts(self, field, message):
+    @pytest.mark.parametrize("field,rule", [("n", "need at least one partition"),
+                                            ("dim", "dimension must be >= 1")])
+    def test_rejects_empty_counts(self, field, rule):
         """With dim 0 every row is all zero, and all-zero rows would be redrawn forever."""
         spec = ScenarioSpec(25.0, 10.0, 100, seed=1)
-        with pytest.raises(ConfigError, match=f"^{message}$"):
+        name = {"n": "n_partitions", "dim": "dimension"}[field]
+        with pytest.raises(ConfigError, match=f"^{name} must be >= 1$"):
             synthetic_partitions(SyntheticInit(per_partition=5), spec, **{"n": 2, "dim": 5, field: 0}, seed=1)
 
     def test_accepts_numpy_integer_counts(self):
         spec = ScenarioSpec(25.0, 10.0, 100, seed=1)
         parts = synthetic_partitions(SyntheticInit(per_partition=4), spec, n=np.int32(3), dim=np.int64(2), seed=1)
         assert [p.shape for p in parts] == [(4, 2)] * 3
+        parts = synthetic_partitions(SyntheticInit(per_partition=4), spec, n=np.int64(1), dim=np.int64(1), seed=1)
+        assert [p.shape for p in parts] == [(4, 1)]  # the minima

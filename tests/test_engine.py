@@ -119,6 +119,10 @@ class TestEngineConfig:
     @pytest.mark.parametrize("field", ["n_partitions", "dimension", "alpha", "branching_factor", "refresh_interval"])
     def test_accepts_numpy_integer_counts(self, field):
         assert getattr(EngineConfig(**{field: np.int64(3)}), field) == 3
+        minimum = 2 if field == "branching_factor" else 1  # the boundary: the minimum passes, one less fails
+        assert getattr(EngineConfig(**{field: np.int64(minimum)}), field) == minimum
+        with pytest.raises(ConfigError, match=f"^{field} must be >= {minimum}$"):
+            EngineConfig(**{field: minimum - 1})
 
     def test_a_fractional_alpha_reaches_no_dominant_registry(self, rng):
         # The registry takes an entry when its count equals alpha, which 2.5 never does.
@@ -178,6 +182,33 @@ class TestEngineInit:
         cfg = EngineConfig(n_partitions=1, dimension=2)
         with pytest.raises(ConfigError):
             AllocationEngine(cfg, [np.empty((0, 2))])
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bad_initial_data_is_one_config_error_whatever_the_threshold(self, data):
+        """The block is checked before the data-scaled threshold reads it."""
+        dim = data.draw(st.integers(1, 6))
+        blocks = [data.draw(hnp.arrays(np.float64, (rows, dim), elements=st.floats(0.0, 1e3)))
+                  for rows in data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))]
+        planted = data.draw(st.none() | st.sampled_from([np.nan, np.inf, -np.inf, -1.0]))
+        if planted is not None:
+            pid = data.draw(st.integers(1, len(blocks)))
+            block = blocks[pid - 1]
+            block[data.draw(st.integers(0, len(block) - 1)), data.draw(st.integers(0, dim - 1))] = planted
+        errors = []
+        for threshold in (None, 1.0):
+            cfg = EngineConfig(n_partitions=len(blocks), dimension=dim, alpha=5, threshold=threshold)
+            try:
+                eng = AllocationEngine(cfg, blocks)
+            except ConfigError as exc:
+                errors.append(str(exc))
+            else:
+                assert eng.audit().ok
+        if planted is None:
+            assert errors == []
+        else:
+            assert errors[0] == errors[1] and errors[0].startswith(f"partition {pid}: ")
 
 
 # ------------------------------------------------------- allocation
@@ -352,6 +383,9 @@ class TestAudit:
             "synopsis_alpha_compliance",
             "weight_convexity",
         }
+        # Identical initial rows: a data-scaled threshold below rounding noise would fail the radius check.
+        report = AllocationEngine(EngineConfig(n_partitions=1, dimension=1), [np.full((3, 1), 857.4042765875694)]).audit()
+        assert report.ok, report.issues
 
     def test_clean_engine_passes_with_batched_refresh(self, rng):
         report = self._run_engine(rng, refresh_interval=7).audit()

@@ -582,11 +582,20 @@ class TestCFTree:
             CFTree(**{"dimension": 2, "threshold": 1.0, "branching_factor": 4, field: value})
 
     def test_accepts_numpy_integer_sizes(self):
+        from synalloc import ConfigError
+
         tree = CFTree(np.int64(2), 1.0, np.int32(3))
         for x in [[0.0, 0.0], [9.0, 9.0], [0.1, 0.0], [20.0, 0.0], [0.0, 20.0]]:
             tree.insert(x)
         assert tree.consistency_issues() == []
         assert list(tree.dominant_entries(np.int64(2))) == [0]
+        assert sorted(tree.dominant_entries(np.int64(1))) == [0, 1, 2, 3]  # the minimum
+        with pytest.raises(ConfigError, match="^alpha must be >= 1$"):
+            tree.dominant_entries(0)
+        tree = CFTree(np.int64(1), 1.0, np.int64(2))  # the minima
+        for x in [[0.0], [9.0], [20.0], [40.0]]:
+            tree.insert(x)
+        assert tree.height() == 2 and tree.consistency_issues() == []
 
     @pytest.mark.parametrize("alpha", [2.0, 2.5])
     def test_dominant_entries_rejects_a_non_integer_alpha(self, alpha):
@@ -605,7 +614,7 @@ class TestCFTree:
         from synalloc import ConfigError, EngineConfig
 
         message = {"dimension": "dimension must be >= 1", "threshold": "threshold must be positive",
-                   "branching_factor": "branching factor must be >= 2"}[field]
+                   "branching_factor": "branching_factor must be >= 2"}[field]
         params = {"dimension": 2, "threshold": 1.0, "branching_factor": 4, field: value}
         with pytest.raises(ConfigError, match=f"^{message}$"):
             CFTree(**params)
