@@ -15,7 +15,9 @@ length:
   centroids and the outlier weighting fires, which the presets never do;
 - the same configuration at outlier k 2.45 and 2.44, just above and just
   below sqrt(6), the k from which the router skips the outlier rule for
-  three metrics, so that both paths score hundreds of rows per call;
+  three metrics, so that both paths score hundreds of rows per call, and
+  at outlier k 0.5, where a row can flag all three outcomes and so weighs
+  them uniformly;
 - the same configuration without outlier k, refreshing on every insert
   (seed 2), so that leaf entries cross alpha while the stream runs and
   every crossing is published at once;
@@ -50,7 +52,10 @@ length:
   is routed: 0 partitions, branching factor 1, refresh interval 0, alpha 0,
   0 initial vectors per partition, a custom stream of -1 vectors, and seed
   clusters of sigma inf, spread NaN or sigma 1e308 (whose draws overflow to
-  inf, so the initial data, not the threshold, is what fails).
+  inf, so the initial data, not the threshold, is what fails);
+- ``run`` with 200 vectors and seed clusters of sigma 1e154, whose draws are
+  finite but whose moments overflow to inf in the trees and in the raw
+  statistics alike: the moment check must fail it, so it exits 3.
 
 Every output file, stdout, stderr and the exit code must match byte for
 byte. The exit code is 1 when anything differs, 0 otherwise.
@@ -82,7 +87,7 @@ def cases() -> list[tuple[str, list[str]]]:
     ]
     out.extend((f"run-multi-centroid{suffix}", ["run", "--scenario", "1", "--seed", "1", *MULTI_CENTROID,
                                                 "--outlier-k", k, *outputs])
-               for suffix, k in (("", "1.35"), ("-k2.45", "2.45"), ("-k2.44", "2.44")))
+               for suffix, k in (("", "1.35"), ("-k2.45", "2.45"), ("-k2.44", "2.44"), ("-k0.5", "0.5")))
     out.append(("run-alpha-crossing", ["run", "--scenario", "1", "--seed", "2", "--partitions", "16", "--alpha", "5",
                                        "--threshold", "4.0", "--refresh", "1", *outputs]))
     out.append(("run-alpha1", ["run", "--scenario", "2", "--seed", "3", "--alpha", "1", *outputs]))
@@ -124,6 +129,7 @@ def cases() -> list[tuple[str, list[str]]]:
         ("init-sigma-inf", ["--init-sigma", "inf"]),
         ("init-spread-nan", ["--init-spread", "nan"]),
         ("init-sigma-1e308", ["--init-sigma", "1e308"]),
+        ("init-sigma-1e154", ["--vectors", "200", "--init-sigma", "1e154"]),
     ))
     return out
 

@@ -21,11 +21,13 @@ from .errors import ConfigError, VectorError
 from .similarity import (
     DEFAULT_OUTLIER_K,
     DEFAULT_THETA,
+    SUM_BOUND,
     SegmentScores,
     _check_weight_params,
     _outlier_rule,
     centroid_sums,
     ensemble_similarity,  # unused here; bench/spans.py patches synalloc.engine.ensemble_similarity
+    in_kernel_order,
     score_segments,
     sums_in_bound,
 )
@@ -129,8 +131,10 @@ class AllocationEngine:
         self.partitions: list[PartitionState] = []
         self.rejected = 0
         self._t = 0
-        for i, pts in enumerate(initial_points, start=1):
-            pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+        blocks = [np.atleast_2d(np.asarray(pts, dtype=np.float64)) for pts in initial_points]
+        # Every block is checked before any tree is built, and before default_threshold reads it,
+        # so that bad data is reported as such: not as a bad threshold, nor after overflowing trees.
+        for i, pts in enumerate(blocks, start=1):
             if pts.size == 0:
                 raise ConfigError(f"partition {i} has no initial data")
             if pts.shape[1] != config.dimension:
@@ -138,10 +142,11 @@ class AllocationEngine:
                     f"partition {i}: initial data has dimension {pts.shape[1]}, "
                     f"expected {config.dimension}"
                 )
-            try:  # before default_threshold reads it, so that bad data is not reported as a bad threshold
+            try:
                 as_vector(pts.ravel(), nonneg=True)
             except VectorError as exc:
                 raise ConfigError(f"partition {i}: {exc}") from None
+        for i, pts in enumerate(blocks, start=1):
             thr = config.threshold or default_threshold(pts)
             tree = CFTree(config.dimension, thr, config.branching_factor)
             for row in pts:
@@ -155,27 +160,32 @@ class AllocationEngine:
 
         The matrix carries its rows' ``centroid_sums`` and whether they are
         ``sums_in_bound``, so that scoring neither sums the rows nor, under
-        the bound, guards its divisions.
+        the bound, guards its divisions. It is stored ``in_kernel_order``:
+        Fortran below 8 components, C from 8 on, where ``_publish`` sums the
+        patched rows pairwise where they lie, as ``centroid_sums`` does.
         """
         # New arrays, never patched: the SegmentScores that allocate returned hold
         # the old _offsets and read them when their scores are first read.
-        self._centroids, self._offsets = stack_centroids(self.synopses)
-        self._sums = centroid_sums(self._centroids)
+        centroids, self._offsets = stack_centroids(self.synopses)
+        self._sums = centroid_sums(centroids)
         self._bounded = sums_in_bound(self._sums)
+        self._centroids = in_kernel_order(centroids)
 
     def _publish(self, pid: int, syn: Synopsis) -> None:
         """Make ``syn`` partition ``pid``'s synopsis and bring the routing matrix up to date.
 
         With the row count unchanged the rows are patched in place and summed where they
         lie; the flag is then re-derived from the patched sums, with a scan of every row
-        only when it was down (a row outside the bound may be the one replaced).
+        only when it was down (a row outside the bound may be the one replaced). The
+        patched sums, usually one, are checked in Python: two ufunc reductions cost more.
         """
         self.partitions[pid - 1].current_synopsis = syn
         lo, hi = self._offsets[pid - 1], self._offsets[pid]
         if hi - lo == len(syn.centroids):  # same row count: patch the partition's rows in place
             self._centroids[lo:hi] = syn.centroids
             patched = np.add.reduce(self._centroids[lo:hi], axis=1, out=self._sums[lo:hi])
-            self._bounded = sums_in_bound(patched) and (self._bounded or sums_in_bound(self._sums))
+            self._bounded = (all(0.0 < s <= SUM_BOUND for s in patched.tolist())  # sums_in_bound; NaN fails
+                             and (self._bounded or sums_in_bound(self._sums)))
         else:
             self._stack_synopses()
 

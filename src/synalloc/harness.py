@@ -197,6 +197,10 @@ def _cross_check_moments(engine: AllocationEngine, reports: list[PartitionReport
             continue
         cf_mean = cf.centroid()
         cf_std = np.sqrt(cf.variance())
+        # np.allclose holds inf close to inf: moments that overflowed on both sides would agree.
+        if not all(np.isfinite(m).all() for m in (cf_mean, cf_std, rep.mean, rep.std)):
+            issues.append(f"partition {rep.partition_id}: non-finite moments")
+            continue
         ok = np.allclose(cf_mean, rep.mean, rtol=_MOMENT_RTOL, atol=1e-9) and np.allclose(
             cf_std, rep.std, rtol=_MOMENT_RTOL, atol=1e-6
         )

@@ -12,12 +12,18 @@ and the n = 3 outcomes of a row) run over a leading axis. numpy adds fewer
 than 8 terms strictly left to right, along a row or a leading axis alike, so
 every value is bit-identical to the row-by-row formulas, and a reduction
 over a leading axis costs a fraction of one over many rows of length 3 or 5.
+Below 8 components the engine stores its routing matrix in Fortran order
+(``in_kernel_order``), so that the kernel's (M, rows) ``.T`` view of it is
+contiguous. The outlier rule looks each row's weights up by its outlier
+count in two small tables built once per (n, theta), rather than computing
+them row by row.
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -143,6 +149,16 @@ def centroid_sums(centroids: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.ascontiguousarray(centroids), axis=1)
 
 
+def in_kernel_order(centroids: np.ndarray) -> np.ndarray:
+    """``centroids`` in the memory order ``_dissim_rows`` reads them in.
+
+    Below 8 components that is Fortran order, which makes the kernel's
+    (M, rows) ``.T`` view contiguous. From 8 on the kernel reads rows, and
+    numpy sums a row pairwise, so a C-ordered matrix is returned as it is.
+    """
+    return np.asfortranarray(centroids) if centroids.shape[1] < 8 else centroids
+
+
 def sums_in_bound(sums: np.ndarray) -> bool:
     """Whether every row sum lies in (0, SUM_BOUND]; NaN fails."""
     return bool(np.minimum.reduce(sums) > 0.0 and np.maximum.reduce(sums) <= SUM_BOUND)
@@ -164,9 +180,12 @@ def _dissim_rows(
     components are one reduction over a scratch block. For M < 8 the block
     is (2, M, rows), summed over its middle axis: numpy adds fewer than 8
     terms left to right along any axis, so the sums equal a row-wise sum bit
-    for bit, at a fraction of its cost over many rows. From M = 8 on numpy
-    sums a row pairwise, so the block is (2, rows, M) and is summed along
-    its rows.
+    for bit, at a fraction of its cost over many rows. Its inputs are read
+    through the (M, rows) ``.T`` view of ``centroids``, which is contiguous
+    when the matrix is Fortran-ordered, as ``in_kernel_order`` lays it out.
+    From M = 8 on numpy sums a row pairwise, so the block is (2, rows, M)
+    and is summed along its rows, read from a C-ordered matrix.
+    K is computed in its output row, with no temporary.
 
     ``sums`` are the row sums ``centroid_sums`` builds, and ``bounded`` says
     whether ``sums_in_bound`` holds for them; the engine keeps both with its
@@ -206,7 +225,13 @@ def _dissim_rows(
     with np.errstate(divide="ignore", invalid="ignore") if guarded else _UNGUARDED:
         np.divide(2.0 * absdiff, tot + absdiff, out=out[0])
         np.divide(absdiff, tot, out=out[1])
-        out[2] = 1.0 if sx == 0.0 else 1.0 - 0.5 * (smin / sx + smin / sums)
+        if sx == 0.0:
+            out[2] = 1.0
+        else:  # 1 - 0.5 * (m / sum(x) + m / sum(c)), step by step in its output row
+            kul = out[2]
+            np.divide(smin, sx, out=kul)
+            np.add(kul, np.divide(smin, sums, out=smin), out=kul)
+            np.subtract(1.0, np.multiply(kul, 0.5, out=kul), out=kul)
     if guarded:
         empty = sums == 0.0
         if empty.any():
@@ -242,6 +267,23 @@ def _pool(t: np.ndarray, theta: float, k: float) -> tuple[np.ndarray | None, np.
     return _outlier_rule(t, theta, k)
 
 
+@functools.lru_cache(maxsize=32)
+def _weight_tables(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only weights of a flagged and of an unflagged outcome, indexed by a row's outlier count j.
+
+    A flagged outcome weighs ``theta``; the n - j unflagged ones share the
+    rest, (1 - j * theta) / (n - j). A row with every outcome flagged
+    (j = n) is degenerate and uniform: both tables give it 1 / n.
+    """
+    j = np.arange(n + 1)
+    unflagged = (1.0 - j * theta) / np.maximum(n - j, 1)
+    flagged = np.full(n + 1, theta)
+    flagged[n] = unflagged[n] = 1.0 / n
+    flagged.setflags(write=False)
+    unflagged.setflags(write=False)
+    return flagged, unflagged
+
+
 def _outlier_rule(t: np.ndarray, theta: float, k: float) -> tuple[np.ndarray, np.ndarray]:
     """The rule itself, unskipped: outcomes more than ``k`` stds from their row mean weigh ``theta``.
 
@@ -249,6 +291,10 @@ def _outlier_rule(t: np.ndarray, theta: float, k: float) -> tuple[np.ndarray, np
     n < 8 that is the order in which numpy sums a row, so every value is
     bit-identical to the row-major rule. For n >= 8 it is the same whenever
     there is one row, as in ``compute_weights``; the router has n = 3.
+    Each outcome's weight is looked up by its row's outlier count in
+    ``_weight_tables``, which hold the values the rule's formula gives.
+    A row whose std is 0 is uniform: its deviations can still be nonzero,
+    and so flagged, when their squares underflow.
     The audit runs it where ``_pool`` skipped it, to check the skip.
     """
     n = t.shape[0]
@@ -257,9 +303,10 @@ def _outlier_rule(t: np.ndarray, theta: float, k: float) -> tuple[np.ndarray, np
     d = np.sqrt(np.add.reduce(np.square(dev), axis=0) / n)
     outlier = np.abs(dev) > k * d
     n_out = np.add.reduce(outlier, axis=0)
-    share = (1.0 - n_out * theta) / np.maximum(n - n_out, 1)
-    w = np.where(outlier, theta, share)
-    w[:, (d == 0.0) | (n_out == n)] = 1.0 / n  # degenerate rows
+    flagged, unflagged = _weight_tables(n, float(theta))  # float: a 0-d array theta is unhashable
+    w = np.where(outlier, flagged[n_out], unflagged[n_out])
+    if np.count_nonzero(d) < d.size:  # d.all() at half its cost; NaN counts as nonzero
+        w[:, d == 0.0] = 1.0 / n
     return w, np.add.reduce(t * w, axis=0)
 
 

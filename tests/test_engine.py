@@ -183,6 +183,15 @@ class TestEngineInit:
         with pytest.raises(ConfigError):
             AllocationEngine(cfg, [np.empty((0, 2))])
 
+    @pytest.mark.parametrize("threshold", [None, 1.0])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_block_is_checked_before_any_tree_is_built(self, threshold):
+        # Partition 1's rows are finite, but its threshold and its tree's sums would overflow.
+        blocks = [np.full((4, 3), 1e308), np.ones((4, 3)), np.array([[1.0, np.nan, 1.0]])]
+        cfg = EngineConfig(n_partitions=3, dimension=3, threshold=threshold)
+        with pytest.raises(ConfigError, match=r"^partition 3: malformed input: non-finite component$"):
+            AllocationEngine(cfg, blocks)
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -727,6 +736,8 @@ class TestRoutingMatrix:
             eng.ingest(x)
             centroids, offsets = stack_centroids(eng.synopses)
             assert (eng._centroids.shape, eng._centroids.dtype) == (centroids.shape, centroids.dtype)
+            # The kernel's memory order: its (M, rows) view contiguous below M = 8, its rows from 8 on.
+            assert eng._centroids.flags["F_CONTIGUOUS" if dimension < 8 else "C_CONTIGUOUS"]
             assert eng._centroids.tobytes() == centroids.tobytes()
             assert (eng._offsets.dtype, eng._offsets.tobytes()) == (offsets.dtype, offsets.tobytes())
             assert_sums_of_a_fresh_build(eng)
@@ -735,17 +746,19 @@ class TestRoutingMatrix:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_sums_and_flag_equal_a_rebuild_after_drawn_publishes(self, dimension, data):
-        """Zero rows and rows summing above 2^1020 (out of the bound), in and out, rows added and dropped."""
+        """Zero, NaN and above-2^1020 rows (out of the bound), in and out, rows added and dropped."""
         n_partitions = data.draw(st.integers(1, 5))
         eng = AllocationEngine(EngineConfig(n_partitions=n_partitions, dimension=dimension),
                                [np.ones((2, dimension))] * n_partitions)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         huge = np.zeros(dimension)
         huge[:2] = 2.0**1020, 2.0**1019  # sums to 1.5 * 2^1020
+        nan = np.ones(dimension)
+        nan[-1] = np.nan
         for _ in range(data.draw(st.integers(1, 12))):
             pid = data.draw(st.integers(1, n_partitions))
-            kinds = data.draw(st.lists(st.sampled_from(["zero", "huge", "plain"]), min_size=1, max_size=4))
-            rows = [{"zero": np.zeros(dimension), "huge": huge}.get(k, rng.uniform(0, 1e4, dimension))
+            kinds = data.draw(st.lists(st.sampled_from(["zero", "huge", "nan", "plain"]), min_size=1, max_size=4))
+            rows = [{"zero": np.zeros(dimension), "huge": huge, "nan": nan}.get(k, rng.uniform(0, 1e4, dimension))
                     for k in kinds]
             sums, same_rows = eng._sums, len(eng.synopses[pid - 1].centroids) == len(rows)
             with np.errstate(over="ignore"):  # the sums and square sums of 2^1020

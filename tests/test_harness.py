@@ -98,6 +98,16 @@ class TestRunScenario:
         assert sum(p.initial_count for p in rep.per_partition) == ds.n_rows
         assert sum(p.synthetic_count for p in rep.per_partition) == 30
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows themselves
+    def test_moments_that_overflow_on_both_sides_fail(self):
+        # Seed clusters at sigma 1e154: the tree's square sums and the raw statistics both
+        # overflow, so both sides read inf, which np.allclose holds close to inf.
+        run = execute_scenario(EngineConfig(), ScenarioSpec(25.0, 10.0, 200, seed=1),
+                               init=SyntheticInit(sigma=1e154))
+        assert any(not np.isfinite(p.std).all() for p in run.report.per_partition)
+        assert run.moment_issues
+        assert all(issue.endswith(": non-finite moments") for issue in run.moment_issues)
+
     def test_engine_exposed_for_auditing(self):
         run = execute_scenario(
             SMALL["config"],

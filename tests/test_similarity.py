@@ -447,6 +447,15 @@ class TestOutlierRuleSkip:
         assert w.T.tobytes() == want_w.tobytes()
         assert pooled.tobytes() == want_pooled.tobytes()
 
+    @pytest.mark.parametrize("theta", [0.1, np.float64(0.1), np.float32(0.1), np.array(0.1)])
+    def test_rule_takes_theta_as_any_real_scalar(self, rng, theta):
+        # The weights come from tables cached by (n, theta): a 0-d array theta must not reach the cache.
+        dissims = rng.uniform(0, 1, (60, 3))
+        w, pooled = _outlier_rule(dissims.T, theta, 0.9)
+        want_w, want_pooled = full_rule(dissims, theta, 0.9)
+        assert (want_w != 1.0 / 3).any()
+        assert w.T.tobytes() == want_w.tobytes() and pooled.tobytes() == want_pooled.tobytes()
+
     @pytest.mark.parametrize("k", [1.35, 3.0])
     def test_pool_does_not_depend_on_the_memory_layout(self, rng, k):
         # The router hands _pool, and the audit _outlier_rule, the kernel's (3, rows) buffer.
