@@ -56,9 +56,14 @@ length:
 - ``run`` with 200 vectors and seed clusters of sigma 1e154, whose draws are
   finite but whose moments overflow to inf in the trees and in the raw
   statistics alike: the moment check must fail it, so it exits 3.
+- ``run`` with 200 vectors and seed clusters of spread 1e308, whose ladder
+  of means for 5 partitions leaves the float range: it must exit 1 naming
+  the spread, before any draw and with no overflow warning.
 
 Every output file, stdout, stderr and the exit code must match byte for
-byte. The exit code is 1 when anything differs, 0 otherwise.
+byte, except that each tree's source directory is written as ``<src>`` in
+stderr, where Python warnings name the file they come from. The exit code
+is 1 when anything differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -130,6 +135,7 @@ def cases() -> list[tuple[str, list[str]]]:
         ("init-spread-nan", ["--init-spread", "nan"]),
         ("init-sigma-1e308", ["--init-sigma", "1e308"]),
         ("init-sigma-1e154", ["--vectors", "200", "--init-sigma", "1e154"]),
+        ("init-spread-1e308", ["--vectors", "200", "--init-spread", "1e308"]),
     ))
     return out
 
@@ -141,7 +147,9 @@ def run_case(src: Path, workdir: Path, args: list[str]) -> dict[str, bytes]:
     env.pop("SYNALLOC_DATASET", None)
     proc = subprocess.run([sys.executable, "-m", "synalloc", *args], cwd=workdir, env=env,
                           capture_output=True)
-    outputs = {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout, "stderr": proc.stderr}
+    # A Python warning names the file it came from, so each tree's own location is written as <src>.
+    stderr = proc.stderr.replace(str(src.resolve()).encode(), b"<src>")
+    outputs = {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout, "stderr": stderr}
     for path in sorted(workdir.iterdir()):
         outputs[path.name] = path.read_bytes()
     return outputs

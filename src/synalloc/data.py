@@ -165,9 +165,11 @@ class SyntheticInit:
     with five partitions that ladder keeps the heaviest stream share on an
     interior partition, whose both-sided catchment stays tighter than the
     generating distribution. ``per_partition`` is an integer >= 1, ``sigma``
-    positive and ``spread`` non-negative, both finite (NaN fails); a draw
-    that still overflows to inf is caught by the engine, which checks the
-    initial data before it scales a threshold to it.
+    positive and ``spread`` non-negative, both finite (NaN fails).
+    ``synthetic_partitions`` rejects a spread whose ladder of means leaves
+    the float range, before any draw; a draw that still overflows to inf
+    is caught by the engine, which checks the initial data before it
+    scales a threshold to it.
     """
 
     per_partition: int = 500
@@ -190,6 +192,13 @@ def synthetic_partitions(
     check_int(dim, "dimension", 1)  # a row of no components is all zero, and all-zero rows are redrawn
     sigma = init.sigma if init.sigma is not None else scenario.sigma / 2.0
     spread = init.spread if init.spread is not None else scenario.sigma
+    # The outer offsets are -(n - 1)/2 and (n - 1)/2, so the ladder is finite if its two ends are:
+    # checked in Python floats, which overflow to inf without numpy's RuntimeWarning.
+    reach = spread * ((n - 1) / 2.0)
+    if not (math.isfinite(scenario.mu - reach) and math.isfinite(scenario.mu + reach)):
+        default = "" if init.spread is not None else " (the stream sigma, by default)"
+        raise ConfigError(f"init spread {spread:g}{default} puts the seed-cluster means of {n} partitions "
+                          f"around mu {scenario.mu:g} outside the float range")
     offsets = np.arange(1, n + 1) - (n + 1) / 2.0
     means = np.maximum(scenario.mu + spread * offsets, 0.0)
     rng = np.random.default_rng(seed)

@@ -134,9 +134,12 @@ class AllocationEngine:
         blocks = [np.atleast_2d(np.asarray(pts, dtype=np.float64)) for pts in initial_points]
         # Every block is checked before any tree is built, and before default_threshold reads it,
         # so that bad data is reported as such: not as a bad threshold, nor after overflowing trees.
+        # The trees then insert its rows as validated vectors.
         for i, pts in enumerate(blocks, start=1):
             if pts.size == 0:
                 raise ConfigError(f"partition {i} has no initial data")
+            if pts.ndim != 2:
+                raise ConfigError(f"partition {i}: initial data must be a 2-D block of rows, got shape {pts.shape}")
             if pts.shape[1] != config.dimension:
                 raise ConfigError(
                     f"partition {i}: initial data has dimension {pts.shape[1]}, "
@@ -150,7 +153,7 @@ class AllocationEngine:
             thr = config.threshold or default_threshold(pts)
             tree = CFTree(config.dimension, thr, config.branching_factor)
             for row in pts:
-                tree.insert(row)
+                tree.insert(row, validated=True)
             syn = extract_synopsis(tree, config.alpha, i, version=1)
             self.partitions.append(PartitionState(tree, syn, initial_count=pts.shape[0]))
         self._stack_synopses()
@@ -240,7 +243,7 @@ class AllocationEngine:
             raise
         chosen, scores = self._allocate(v)
         p = self.partitions[chosen - 1]
-        p.tree.insert(v)
+        p.tree.insert(v, validated=True)
         if (p.tree.total_points - p.initial_count) % self.config.refresh_interval == 0:
             self._publish(chosen, extract_synopsis(
                 p.tree, self.config.alpha, chosen, p.current_synopsis.version + 1

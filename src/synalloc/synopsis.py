@@ -127,6 +127,8 @@ class CFTree:
     the lowest entry index). A leaf entry absorbs a point only if its radius
     stays within ``threshold``; otherwise the point opens a new entry.
     Overfull nodes split by farthest-pair seeding. Single writer only.
+    ``insert`` validates each point unless its caller vouches for it with
+    ``validated=True``, as the engine does for vectors it has checked.
 
     The tree is one entry table plus an array of entry ids per node. Row ``e``
     holds entry ``e``'s count, sums, centroid (kept equal to ``linear_sum / count``)
@@ -161,23 +163,33 @@ class CFTree:
 
     # -- insertion ---------------------------------------------------------
 
-    def insert(self, x) -> tuple[int, bool]:
-        """Route ``x`` to its leaf entry; returns (entry id, newly_created)."""
-        v = as_vector(x, self.dimension, nonneg=True)
-        vv = v * v
+    def insert(self, x, *, validated: bool = False) -> tuple[int, bool]:
+        """Route ``x`` to its leaf entry; returns (entry id, newly_created).
+
+        ``validated=True`` skips the input check: the caller guarantees that ``x``
+        is what ``as_vector(x, dimension, nonneg=True)`` returns, a 1-D float64
+        array of ``dimension`` finite non-negative components. The engine passes
+        it for vectors it has checked; anything else must leave it False.
+        """
+        v = x if validated else as_vector(x, self.dimension, nonneg=True)
+        cent, child = self._cent, self._child  # descent only reads; a new row may regrow them
         path = []  # (node, position, entry id) of each inner entry on the way down
         node = self._root
         while len(ids := self._nodes[node]):
-            i = self._nearest(self._cent.take(ids, axis=0), v)
-            e = int(ids[i])
-            if (child := int(self._child[e])) < 0:
+            d2 = cent.take(ids, axis=0)  # squared distance to each centroid, in place
+            d2 -= v
+            np.square(d2, out=d2)
+            i = int(np.add.reduce(d2, axis=1).argmin())  # argmin takes the first minimum: lowest index
+            e = ids.item(i)
+            if (c := child.item(e)) < 0:
                 break
             path.append((node, i, e))
-            node = child
+            node = c
 
+        vv = v * v
         absorbs = False
         if len(ids):  # the squared radius entry e would have after absorbing v, off its table row
-            n = int(self._count[e]) + 1
+            n = self._count.item(e) + 1
             ls = self._ls[e] + v
             r2 = (np.add.reduce(self._ss[e]) + float(v @ v)) / n - float(ls @ ls) / (n * n)
             absorbs = r2 <= self.threshold * self.threshold
@@ -185,23 +197,27 @@ class CFTree:
             leaf = e
             path.append((node, i, e))  # absorbs like the entries above it
         else:
-            leaf = self._add_row(1, v.copy(), vv, -1)
-            self._nodes[node] = np.concatenate((ids, [leaf]))
-            # Back up while nodes split: re-sum the parent entry, add one after it for the new node.
-            split = self._split(node)
-            while split is not None and path:
+            leaf = self._add_row(1, v, vv, v, -1)  # v / 1 == v: a singleton's centroid is the point
+            grown = np.empty(len(ids) + 1, dtype=np.intp)
+            grown[:-1] = ids
+            grown[-1] = leaf
+            self._nodes[node] = ids = grown
+            # Back up while nodes overfill: re-sum the parent entry, add one after it for the new node.
+            while len(ids) > self.branching_factor:
+                split = self._split(node, ids)
+                if not path:  # the root split: a new root over its two halves
+                    halves = [self._add_row(*self._fold_row(self._nodes[k]), k) for k in (node, split)]
+                    self._nodes.append(np.array(halves, dtype=np.intp))
+                    self._root = len(self._nodes) - 1
+                    break
                 node, i, e = path.pop()
-                self._set_row(e, *self._fold(self._nodes[int(self._child[e])]))
-                half = self._add_row(*self._fold(self._nodes[split]), split)
+                self._set_row(e, *self._fold_row(self._nodes[self._child.item(e)]))
+                half = self._add_row(*self._fold_row(self._nodes[split]), split)
                 ids = self._nodes[node]
-                self._nodes[node] = np.concatenate((ids[: i + 1], [half], ids[i + 1 :]))
-                split = self._split(node)
-            if split is not None:  # the root split: a new root over its two halves
-                halves = [self._add_row(*self._fold(self._nodes[k]), k) for k in (node, split)]
-                self._nodes.append(np.array(halves, dtype=np.intp))
-                self._root = len(self._nodes) - 1
+                self._nodes[node] = ids = np.concatenate((ids[: i + 1], [half], ids[i + 1 :]))
         for _, _, e in path:  # in place, what merging ClusterFeature.from_point(v) would give
-            self._count[e] = n = self._count[e] + 1
+            n = self._count.item(e) + 1
+            self._count[e] = n
             ls = self._ls[e]
             ls += v
             ss = self._ss[e]
@@ -209,11 +225,12 @@ class CFTree:
             np.divide(ls, n, out=self._cent[e])
 
         self.total_points += 1
-        if self._count[leaf] == self._dominant_alpha:
+        if self._count.item(leaf) == self._dominant_alpha:
             self._add_dominant(leaf)
-        return leaf, bool(self._count[leaf] == 1)  # new entries start at 1; an absorb leaves >= 2
+        return leaf, not absorbs
 
-    def _add_row(self, count: int, linear_sum: np.ndarray, square_sum: np.ndarray, child: int) -> int:
+    def _add_row(self, count: int, linear_sum: np.ndarray, square_sum: np.ndarray, centroid: np.ndarray,
+                 child: int) -> int:
         e = self._n
         if e == len(self._count):
             cap = max(8, 2 * e)
@@ -224,7 +241,7 @@ class CFTree:
                 setattr(self, name, grown)
         self._n = e + 1
         self._child[e] = child
-        self._set_row(e, count, linear_sum, square_sum)
+        self._set_row(e, count, linear_sum, square_sum, centroid)
         return e
 
     def _add_dominant(self, e: int) -> None:
@@ -234,11 +251,12 @@ class CFTree:
         self._dominant[n] = e
         self._n_dominant = n + 1
 
-    def _set_row(self, e: int, count: int, linear_sum: np.ndarray, square_sum: np.ndarray) -> None:
+    def _set_row(self, e: int, count: int, linear_sum: np.ndarray, square_sum: np.ndarray,
+                 centroid: np.ndarray) -> None:
         self._count[e] = count
         self._ls[e] = linear_sum
         self._ss[e] = square_sum
-        self._cent[e] = linear_sum / count
+        self._cent[e] = centroid
 
     def _fold(self, ids: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
         """Count and sums of rows ``ids``, added in order as a fold of ``ClusterFeature.merge``."""
@@ -247,25 +265,20 @@ class CFTree:
         return (sum(self._count[ids].tolist()), np.add.accumulate(self._ls.take(ids, axis=0))[-1],
                 np.add.accumulate(self._ss.take(ids, axis=0))[-1])
 
-    @staticmethod
-    def _nearest(cents: np.ndarray, x: np.ndarray) -> int:
-        d2 = np.add.reduce(np.square(cents - x), axis=1)  # sum(axis=1) without its Python wrapper
-        return int(d2.argmin())  # argmin takes the first minimum: lowest index
+    def _fold_row(self, ids: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """The table row of an entry over rows ``ids``: their ``_fold`` and its centroid."""
+        n, ls, ss = self._fold(ids)
+        return n, ls, ss, ls / n
 
-    def _split(self, node: int) -> int | None:
-        """Split an overfull ``node`` by farthest-pair seeding; returns the new node, or None.
+    def _split(self, node: int, ids: np.ndarray) -> int:
+        """Split overfull ``node``, whose entries are ``ids``, by farthest-pair seeding; returns the new node.
 
         ``node`` keeps the first seed's group and the new node takes the other.
         """
-        ids = self._nodes[node]
-        if len(ids) <= self.branching_factor:
-            return None
         cents = self._cent.take(ids, axis=0)
-        d2 = np.square(cents[:, None, :] - cents[None, :, :]).sum(axis=2)
-        if d2.max() == 0.0:
-            a, b = 0, 1  # all centroids coincide; degenerate but deterministic
-        else:
-            a, b = np.unravel_index(int(np.argmax(d2)), d2.shape)  # first max: a < b
+        d2 = np.add.reduce(np.square(cents[:, None, :] - cents[None, :, :]), axis=2)
+        k = int(d2.argmax())  # the first maximum: a < b, as d2 is symmetric with a zero diagonal
+        a, b = divmod(k, len(ids)) if d2.item(k) != 0.0 else (0, 1)  # all coincide: degenerate, deterministic
         to_b = d2[:, a] > d2[:, b]  # a tie goes to the lower-index seed
         to_b[a], to_b[b] = False, True
         self._nodes[node] = ids[~to_b]
@@ -431,8 +444,8 @@ def extract_synopsis(
     one is one sort of the dominant ids and four row gathers, O(dominant log
     dominant) in numpy, not O(leaves); the first call for an alpha scans every
     leaf once. The fallback is one in-order fold of the root node's entries
-    (``CFTree._fold``, as ``root_cf`` gives it) and one division, with no
-    ``ClusterFeature`` built on the way.
+    and its centroid (``CFTree._fold_row``; the sums are ``root_cf``'s), with
+    no ``ClusterFeature`` built on the way.
     """
     dom = tree.dominant_entries(alpha)  # checks alpha, ahead of the emptiness check
     if tree.total_points == 0:
@@ -442,6 +455,6 @@ def extract_synopsis(
         # take copies: an absorb updates the table's rows in place
         rows = [col.take(dom, axis=0) for col in (tree._count, tree._ls, tree._ss, tree._cent)]
     else:
-        n, ls, ss = tree._fold(tree._nodes[tree._root])
-        rows = [np.array([n], dtype=np.int64), ls[None], ss[None], ls[None] / n]
+        n, ls, ss, centroid = tree._fold_row(tree._nodes[tree._root])
+        rows = [np.array([n], dtype=np.int64), ls[None], ss[None], centroid[None]]
     return Synopsis(partition_id, *rows, version)

@@ -29,3 +29,12 @@ def make_synopsis(centroids, partition_id=1, count=100, version=1) -> Synopsis:
         centroids=centroids.copy(),
         version=version,
     )
+
+
+def tree_state(tree) -> tuple:
+    """Everything a CF-tree's inserts write, as bytes: equal states are byte-identical trees."""
+    n = tree._n
+    columns = tuple(col[:n].tobytes() for col in (tree._count, tree._ls, tree._ss, tree._cent, tree._child))
+    nodes = tuple((ids.dtype.str, ids.tobytes()) for ids in tree._nodes)
+    dominant = (tree._dominant_alpha, tree._dominant[: tree._n_dominant].tobytes())
+    return n, tree.total_points, tree._root, columns, nodes, dominant

@@ -165,6 +165,13 @@ class TestExitCodes:
         assert run_cli("run", "--init-sigma", "inf", *FAST) == EXIT_CONFIG  # not as a bad threshold
         assert "init sigma" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_seed_ladder_beyond_the_float_range_is_a_config_error(self, capsys):
+        """Named as the spread, before any draw: not as partition 5's data, after an overflow warning."""
+        assert run_cli("run", "--vectors", "200", "--init-spread", "1e308") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: init spread 1e+308 ") and "partition 5" not in err
+
     @pytest.mark.parametrize("mu, sigma, name", [
         ("inf", "1", "mu"), ("nan", "1", "mu"), ("25", "inf", "sigma"),
     ])

@@ -1,5 +1,7 @@
 """Dataset loading/cleaning, synthetic streams, and the random split."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -269,6 +271,28 @@ class TestSyntheticInit:
             SyntheticInit(per_partition=30, sigma=0.5, spread=100.0), spec, n=5, dim=2, seed=3
         )
         assert all((p >= 0).all() for p in parts)
+
+    @pytest.mark.parametrize("mu, spread, n", [(25.0, 1e308, 5), (25.0, 9e307, 5), (0.0, 1e308, 5),
+                                               (-1.5e308, 1e308, 3), (25.0, 2e307, 20)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_ladder_beyond_the_float_range_names_the_spread(self, mu, spread, n):
+        """Caught before any draw: not as non-finite initial data, and with no numpy overflow warning."""
+        spec = ScenarioSpec(mu, 10.0, 100, seed=1)
+        want = f"init spread {spread:g} puts the seed-cluster means of {n} partitions around mu {mu:g} outside the float range"
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            synthetic_partitions(SyntheticInit(per_partition=5, spread=spread), spec, n=n, dim=2, seed=1)
+
+    def test_a_ladder_of_the_default_spread_says_where_the_spread_came_from(self):
+        spec = ScenarioSpec(25.0, 1e308, 100, seed=1)  # the spread defaults to the stream sigma
+        with pytest.raises(ConfigError, match=re.escape("init spread 1e+308 (the stream sigma, by default) puts")):
+            synthetic_partitions(SyntheticInit(per_partition=5), spec, n=5, dim=2, seed=1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_the_widest_finite_ladder_is_drawn(self):
+        spec = ScenarioSpec(0.0, 10.0, 100, seed=1)
+        spread = np.nextafter(np.finfo(np.float64).max, 0.0)  # n = 3: the ladder ends at -spread and +spread
+        parts = synthetic_partitions(SyntheticInit(per_partition=2, sigma=1.0, spread=spread), spec, n=3, dim=2, seed=1)
+        assert [p.shape for p in parts] == [(2, 2)] * 3 and all(np.isfinite(p).all() for p in parts)
 
     def test_deterministic(self):
         spec = ScenarioSpec(25.0, 10.0, 100, seed=1)

@@ -23,7 +23,7 @@ from synalloc.similarity import centroid_sums, sums_in_bound
 import synalloc.engine
 import synalloc.similarity
 
-from conftest import make_synopsis
+from conftest import make_synopsis, tree_state
 
 
 # ------------------------------------------------------- naive oracle
@@ -183,6 +183,18 @@ class TestEngineInit:
         with pytest.raises(ConfigError):
             AllocationEngine(cfg, [np.empty((0, 2))])
 
+    @pytest.mark.parametrize("shape", [(4, 3, 2), (2, 4, 3), (1, 1, 4, 3)])
+    def test_a_block_of_more_than_two_dimensions_is_a_config_error(self, shape):
+        """Checked with the other block checks, before any tree is built: trees trust their rows."""
+        cfg = EngineConfig(n_partitions=2, dimension=3)
+        with pytest.raises(ConfigError, match=rf"^partition 1: initial data must be a 2-D block of rows, "
+                                              rf"got shape \({', '.join(map(str, shape))}\)$"):
+            AllocationEngine(cfg, [np.ones(shape), np.ones((4, 3))])
+
+    def test_a_one_row_block_may_be_1_d(self):
+        eng = AllocationEngine(EngineConfig(n_partitions=2, dimension=3), [np.ones(3), np.ones((4, 3))])
+        assert [p.initial_count for p in eng.partitions] == [1, 4]
+
     @pytest.mark.parametrize("threshold", [None, 1.0])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_every_block_is_checked_before_any_tree_is_built(self, threshold):
@@ -299,6 +311,22 @@ class TestIngest:
         assert eng.rejected == 2
         assert eng.accepted() == 0
         assert eng.ingest([2.0, 2.0]).t == 0  # clock only advances on success
+
+    def test_a_rejected_ingest_leaves_every_tree_untouched(self, rng):
+        """The engine inserts trusted vectors, so whatever ``ingest`` rejects must never reach a tree."""
+        eng = engine_around([[2.0, 2.0], [20.0, 20.0]], branching_factor=3)
+        for x in rng.uniform(0.0, 25.0, size=(50, 2)):
+            eng.ingest(x)
+        before = [tree_state(p.tree) for p in eng.partitions]
+        synopses = eng.synopses
+        bad = [[-3.0, 1.0], [np.nan, 1.0], [np.inf, 1.0], [2.0], [2.0, 2.0, 2.0], [[2.0, 2.0]], 2.0]
+        for x in bad:
+            with pytest.raises(VectorError):
+                eng.ingest(x)
+        assert eng.rejected == len(bad) and eng.accepted() == 50
+        assert [tree_state(p.tree) for p in eng.partitions] == before
+        assert eng.synopses == synopses
+        assert eng.audit().ok
 
     def test_refresh_every_insert_by_default(self, rng):
         eng = engine_around([[2.0, 2.0], [20.0, 20.0]])

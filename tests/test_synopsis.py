@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from synalloc import ClusterFeature, CFTree, EmptyClusterError, VectorError, extract_synopsis, synopsis
+from synalloc.validation import as_vector
+
+from conftest import tree_state
 
 
 # ---------------------------------------------------------------- oracles
@@ -148,6 +151,112 @@ def reference_consistency_issues(tree: CFTree) -> list[str]:
     return issues
 
 
+def reference_insert(tree: CFTree, x) -> tuple[int, bool]:
+    """``CFTree.insert`` as it was before its trusted path: the insert's reference.
+
+    It validates every vector, calls a nearest-centroid helper per level, builds a new
+    leaf row by division, and tries a split after every node it grows.
+    """
+    v = as_vector(x, tree.dimension, nonneg=True)
+    vv = v * v
+    path = []
+    node = tree._root
+    while len(ids := tree._nodes[node]):
+        i = _reference_nearest(tree._cent.take(ids, axis=0), v)
+        e = int(ids[i])
+        if (child := int(tree._child[e])) < 0:
+            break
+        path.append((node, i, e))
+        node = child
+
+    absorbs = False
+    if len(ids):
+        n = int(tree._count[e]) + 1
+        ls = tree._ls[e] + v
+        r2 = (np.add.reduce(tree._ss[e]) + float(v @ v)) / n - float(ls @ ls) / (n * n)
+        absorbs = r2 <= tree.threshold * tree.threshold
+    if absorbs:
+        leaf = e
+        path.append((node, i, e))
+    else:
+        leaf = _reference_add_row(tree, 1, v.copy(), vv, -1)
+        tree._nodes[node] = np.concatenate((ids, [leaf]))
+        split = _reference_split(tree, node)
+        while split is not None and path:
+            node, i, e = path.pop()
+            _reference_set_row(tree, e, *_reference_fold(tree, tree._nodes[int(tree._child[e])]))
+            half = _reference_add_row(tree, *_reference_fold(tree, tree._nodes[split]), split)
+            ids = tree._nodes[node]
+            tree._nodes[node] = np.concatenate((ids[: i + 1], [half], ids[i + 1 :]))
+            split = _reference_split(tree, node)
+        if split is not None:
+            halves = [_reference_add_row(tree, *_reference_fold(tree, tree._nodes[k]), k) for k in (node, split)]
+            tree._nodes.append(np.array(halves, dtype=np.intp))
+            tree._root = len(tree._nodes) - 1
+    for _, _, e in path:
+        tree._count[e] = n = tree._count[e] + 1
+        ls = tree._ls[e]
+        ls += v
+        ss = tree._ss[e]
+        ss += vv
+        np.divide(ls, n, out=tree._cent[e])
+
+    tree.total_points += 1
+    if tree._count[leaf] == tree._dominant_alpha:
+        if tree._n_dominant == len(tree._dominant):
+            tree._dominant = np.resize(tree._dominant, max(8, 2 * tree._n_dominant))
+        tree._dominant[tree._n_dominant] = leaf
+        tree._n_dominant += 1
+    return leaf, bool(tree._count[leaf] == 1)
+
+
+def _reference_nearest(cents, x) -> int:
+    return int(np.add.reduce(np.square(cents - x), axis=1).argmin())
+
+
+def _reference_add_row(tree: CFTree, count, linear_sum, square_sum, child) -> int:
+    e = tree._n
+    if e == len(tree._count):
+        for name in ("_count", "_ls", "_ss", "_cent", "_child"):
+            old = getattr(tree, name)
+            grown = np.empty((max(8, 2 * e), *old.shape[1:]), dtype=old.dtype)
+            grown[:e] = old
+            setattr(tree, name, grown)
+    tree._n = e + 1
+    tree._child[e] = child
+    _reference_set_row(tree, e, count, linear_sum, square_sum)
+    return e
+
+
+def _reference_set_row(tree: CFTree, e, count, linear_sum, square_sum) -> None:
+    tree._count[e] = count
+    tree._ls[e] = linear_sum
+    tree._ss[e] = square_sum
+    tree._cent[e] = linear_sum / count
+
+
+def _reference_fold(tree: CFTree, ids):
+    return (sum(tree._count[ids].tolist()), np.add.accumulate(tree._ls.take(ids, axis=0))[-1],
+            np.add.accumulate(tree._ss.take(ids, axis=0))[-1])
+
+
+def _reference_split(tree: CFTree, node):
+    ids = tree._nodes[node]
+    if len(ids) <= tree.branching_factor:
+        return None
+    cents = tree._cent.take(ids, axis=0)
+    d2 = np.square(cents[:, None, :] - cents[None, :, :]).sum(axis=2)
+    if d2.max() == 0.0:
+        a, b = 0, 1
+    else:
+        a, b = np.unravel_index(int(np.argmax(d2)), d2.shape)
+    to_b = d2[:, a] > d2[:, b]
+    to_b[a], to_b[b] = False, True
+    tree._nodes[node] = ids[~to_b]
+    tree._nodes.append(ids[to_b])
+    return len(tree._nodes) - 1
+
+
 def cf_of(points) -> ClusterFeature:
     cf = ClusterFeature.from_point(np.asarray(points[0], dtype=np.float64))
     for p in points[1:]:
@@ -274,7 +383,9 @@ class TestCFTree:
         assert tree.root_cf().count == 10
 
     def test_nearest_breaks_ties_toward_lowest_index(self):
-        assert CFTree._nearest(np.array([[0.0], [2.0]]), np.array([1.0])) == 0
+        tree = CFTree(dimension=1, threshold=1.0)
+        assert [tree.insert(np.array([x])) for x in (0.0, 3.0)] == [(0, True), (1, True)]
+        assert tree.insert(np.array([1.5])) == (0, False)  # as near to 3 as to 0: the first entry absorbs it
 
     def test_insert_reports_new_vs_absorbed(self):
         tree = CFTree(dimension=1, threshold=5.0)
@@ -555,6 +666,46 @@ class TestCFTree:
             tree.insert(np.array([np.nan, 1.0]))
         with pytest.raises(VectorError):
             tree.insert(np.array([-0.5, 1.0]))
+
+    @pytest.mark.parametrize("bad", [[1.0], [np.nan, 1.0], [-0.5, 1.0], [np.inf, 0.0], [[1.0, 1.0]]])
+    def test_a_public_insert_still_validates_and_a_rejected_one_writes_nothing(self, rng, bad):
+        tree = CFTree(dimension=2, threshold=0.5, branching_factor=3)
+        for row in rng.uniform(0.0, 10.0, size=(40, 2)):
+            tree.insert(row)
+        before = tree_state(tree)
+        with pytest.raises(VectorError):
+            tree.insert(bad)
+        assert tree_state(tree) == before
+        with pytest.raises(TypeError):
+            tree.insert(np.ones(2), True)  # the trust flag is keyword-only
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_insert_matches_the_reference_after_every_insert(self, data):
+        """Twin trees, one through ``insert`` and one through ``reference_insert``, stay byte-identical.
+
+        Dimensions reach 9, past the 8 from which numpy sums a row pairwise. Rows repeat and
+        include zero rows; at T = 1e-12 a repeated row can fail the absorb test by round-off,
+        so nodes of coincident centroids split on the degenerate (0, 1) seeds.
+        """
+        d = data.draw(st.integers(1, 9), label="dimension")
+        branching = data.draw(st.integers(2, 16), label="branching")
+        threshold = data.draw(st.sampled_from([1e-12, 1e-6, 0.1, 1.0, 5.0, 1e3]) | st.floats(1e-3, 1e3),
+                              label="threshold")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        pool = rng.uniform(0.0, 100.0, size=(data.draw(st.integers(1, 60), label="distinct rows"), d))
+        pool[: data.draw(st.integers(0, 2), label="zero rows")] = 0.0
+        picks = rng.integers(0, len(pool), size=data.draw(st.integers(1, 200), label="inserts"))
+        alpha = data.draw(st.none() | st.integers(1, 4), label="alpha")
+        trusted = data.draw(st.booleans(), label="validated")
+        tree, ref = CFTree(d, threshold, branching), CFTree(d, threshold, branching)
+        if alpha is not None:  # track the dominant registry from the start
+            tree.dominant_entries(alpha)
+            ref.dominant_entries(alpha)
+        for k in picks.tolist():
+            got = tree.insert(pool[k], validated=trusted)
+            assert got == reference_insert(ref, pool[k]) and type(got[1]) is bool
+            assert tree_state(tree) == tree_state(ref)
 
     def test_config_validation(self):
         from synalloc import ConfigError
