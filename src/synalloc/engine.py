@@ -11,7 +11,6 @@ transmitted; all peers live in-process), so the versions count the messages.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -41,8 +40,27 @@ THRESHOLD_STD_FACTOR = 0.5
 # ~1.5e-8 (sqrt of float64's eps) of the magnitude, and identical rows (std 0) need a threshold above that.
 THRESHOLD_FLOOR_FACTOR = 1e-6
 
-# What json.dumps(..., separators=(",", ":")) encodes with, built once rather than per record.
-_JSON = json.JSONEncoder(separators=(",", ":"))
+# How json.dumps writes the floats that repr cannot: Python's JavaScript-style names.
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(s: float) -> str:
+    """``s`` at 12 significant digits, written as ``json.dumps(float(f"{s:.12g}"))`` writes it.
+
+    json writes a float as its ``repr``. A ``.12g`` text with a ``.`` and no
+    ``e`` already is that repr: no other decimal of at most 15 significant
+    digits reads back as the same double, so repr's shortest round-trip text
+    has these digits, and both formats print fixed-point over these exponents.
+    Every other text goes through ``repr``: ``0``, ``-0`` and ``1`` lack the
+    ``.0``, an exponent form need not be repr's (``1e+12`` is
+    ``1000000000000.0``), a subnormal holds fewer than 12 digits
+    (``4.94065645841e-324`` reads back as ``5e-324``), and json names NaN and
+    the infinities.
+    """
+    text = f"{s:.12g}"
+    if "." in text and "e" not in text:
+        return text
+    return _JSON_NON_FINITE.get(text) or repr(float(text))
 
 
 @dataclass(frozen=True)
@@ -83,12 +101,11 @@ class AllocationRecord:
         return self.sims.tolist()
 
     def to_json_line(self) -> str:
-        payload = {
-            "t": self.t,
-            "chosen": self.chosen,
-            "similarities": [float(f"{s:.12g}") for s in self.similarities()],
-        }
-        return _JSON.encode(payload)
+        """``{"t":…,"chosen":…,"similarities":[…]}``: compact JSON, byte for byte what
+        ``json.dumps`` writes for that dict with each similarity rounded to 12
+        significant digits, formatted here with no dict and no encoder (see ``_json_float``)."""
+        sims = ",".join(map(_json_float, self.similarities()))
+        return f'{{"t":{self.t},"chosen":{self.chosen},"similarities":[{sims}]}}'
 
 
 @dataclass

@@ -8,6 +8,11 @@ import numpy as np
 
 from .errors import ConfigError, VectorError
 
+# The array kinds that are real numbers: bool, signed and unsigned integer, float. numpy would cast
+# a complex array to its real part, and an object array one element at a time, a complex scalar
+# again to its real part; text and times are not numbers.
+_REAL_KINDS = frozenset("biuf")
+
 
 def check_int(value, name: str, minimum: int) -> None:
     """Raise ConfigError unless ``value`` is an integer >= ``minimum``: numpy integers pass, 2.0 fails."""
@@ -22,9 +27,18 @@ def check_int(value, name: str, minimum: int) -> None:
 def as_vector(x, dim: int | None = None, nonneg: bool = False) -> np.ndarray:
     """Coerce ``x`` to a 1-D float64 array, validating shape and domain.
 
-    Raises VectorError for non-finite components, a dimension mismatch
-    against ``dim``, or (when ``nonneg``) any negative component.
+    Raises VectorError for input that numpy does not read as real numbers
+    (text, complex numbers, objects, ragged sequences), non-finite components, a
+    dimension mismatch against ``dim``, or (when ``nonneg``) any negative
+    component. An ndarray, the engine's input, is checked by its dtype alone.
     """
+    if not isinstance(x, np.ndarray):
+        try:
+            x = np.asarray(x)  # numpy's own dtype, so that complex and text are seen before any cast
+        except (TypeError, ValueError) as exc:  # a ragged sequence, say
+            raise VectorError(f"malformed input: {exc}") from None
+    if x.dtype.kind not in _REAL_KINDS:
+        raise VectorError(f"malformed input: {x.dtype} components are not real numbers")
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise VectorError(f"expected a 1-D vector, got shape {v.shape}")

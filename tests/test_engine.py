@@ -71,6 +71,12 @@ def naive_allocate(x, partition_centroids, theta=0.1, k=3.0):
     return best_id
 
 
+def reference_json_line(rec):
+    """The record line as the json module writes it: the formatter in to_json_line must match it."""
+    payload = {"t": rec.t, "chosen": rec.chosen, "similarities": [float(f"{s:.12g}") for s in rec.similarities()]}
+    return json.dumps(payload, separators=(",", ":"))
+
+
 def engine_around(points_per_partition, **overrides):
     """Engine whose partitions each hold one tight cluster at a given point."""
     pts = [np.tile(np.asarray(p, dtype=np.float64), (60, 1)) for p in points_per_partition]
@@ -319,7 +325,8 @@ class TestIngest:
             eng.ingest(x)
         before = [tree_state(p.tree) for p in eng.partitions]
         synopses = eng.synopses
-        bad = [[-3.0, 1.0], [np.nan, 1.0], [np.inf, 1.0], [2.0], [2.0, 2.0, 2.0], [[2.0, 2.0]], 2.0]
+        bad = [[-3.0, 1.0], [np.nan, 1.0], [np.inf, 1.0], [2.0], [2.0, 2.0, 2.0], [[2.0, 2.0]], 2.0,
+               "ab", ["a", 1.0], [1 + 2j, 1.0], {"a": 1}, np.array([1 + 2j, 1.0]), [[1.0], [2.0, 3.0]]]
         for x in bad:
             with pytest.raises(VectorError):
                 eng.ingest(x)
@@ -390,6 +397,14 @@ class TestIngest:
             rec = AllocationRecord(7, np.zeros(2), 2, np.array(sims))
             payload = {"t": 7, "chosen": 2, "similarities": [float(f"{s:.12g}") for s in sims]}
             assert rec.to_json_line() == json.dumps(payload, separators=(",", ":"))
+
+    @given(st.integers(0, 2**63), st.integers(1, 64),
+           st.lists(st.one_of(st.floats(), st.floats(0, 1)), min_size=1, max_size=20))
+    @settings(max_examples=500, deadline=None)
+    def test_json_record_line_equals_the_json_module(self, t, chosen, sims):
+        # st.floats() draws NaN, the infinities, both zeros and subnormals.
+        rec = AllocationRecord(t, np.zeros(2), chosen, np.array(sims, dtype=np.float64))
+        assert rec.to_json_line() == reference_json_line(rec)
 
     def test_deterministic_across_identical_engines(self, rng):
         stream = rng.uniform(0.0, 25.0, size=(60, 2))

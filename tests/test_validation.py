@@ -1,5 +1,7 @@
 """Input coercion: the one-test acceptance of as_vector against its per-condition checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,7 +63,33 @@ class TestAsVector:
             as_vector(x, nonneg=True)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("x", [[-0.0, 3.0], [1.7e308, 1.7e308], [5e-324], []])
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ("ab", "malformed input: <U2 components are not real numbers"),
+            (["a", 1.0], "malformed input: <U32 components are not real numbers"),
+            (np.array(["1", "2"]), "malformed input: <U1 components are not real numbers"),
+            ([1 + 2j, 1.0], "malformed input: complex128 components are not real numbers"),
+            ([np.complex128(1 + 2j), 1.0], "malformed input: complex128 components are not real numbers"),
+            (np.array([1 + 2j, 1.0]), "malformed input: complex128 components are not real numbers"),
+            (np.array([1 + 0j, 1.0]), "malformed input: complex128 components are not real numbers"),
+            (np.array([np.complex128(1 + 2j), 1.0], dtype=object),
+             "malformed input: object components are not real numbers"),
+            ({"a": 1}, "malformed input: object components are not real numbers"),
+            ([None, 1.0], "malformed input: object components are not real numbers"),
+        ],
+    )
+    def test_rejects_what_is_not_real_numbers(self, x, message):
+        # Numpy would cast complex input to its real part with a ComplexWarning; no warning may escape.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(VectorError) as info:
+                as_vector(x, nonneg=True)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("x", [[-0.0, 3.0], [1.7e308, 1.7e308], [5e-324], [],
+                                   [True, False], [2, 3], np.array([1, 2], dtype=np.uint8),
+                                   np.array([1.5, 2], dtype=np.float32)])
     def test_accepts(self, x):
         # A sum of [1.7e308, 1.7e308] overflows; no component does.
         v = as_vector(x, nonneg=True)
