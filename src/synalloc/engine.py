@@ -148,11 +148,17 @@ class AllocationEngine:
         self.partitions: list[PartitionState] = []
         self.rejected = 0
         self._t = 0
-        blocks = [np.atleast_2d(np.asarray(pts, dtype=np.float64)) for pts in initial_points]
         # Every block is checked before any tree is built, and before default_threshold reads it,
         # so that bad data is reported as such: not as a bad threshold, nor after overflowing trees.
-        # The trees then insert its rows as validated vectors.
-        for i, pts in enumerate(blocks, start=1):
+        # as_vector sees it in numpy's own dtype, so that complex, text and object blocks fail
+        # before any cast; a C-ordered float64 block passes through uncopied. The trees then insert its rows
+        # as validated vectors.
+        blocks = []
+        for i, pts in enumerate(initial_points, start=1):
+            try:
+                pts = np.atleast_2d(np.asarray(pts))
+            except (TypeError, ValueError) as exc:  # a ragged block, say
+                raise ConfigError(f"partition {i}: malformed input: {exc}") from None
             if pts.size == 0:
                 raise ConfigError(f"partition {i} has no initial data")
             if pts.ndim != 2:
@@ -163,7 +169,7 @@ class AllocationEngine:
                     f"expected {config.dimension}"
                 )
             try:
-                as_vector(pts.ravel(), nonneg=True)
+                blocks.append(as_vector(pts.ravel(), nonneg=True).reshape(pts.shape))
             except VectorError as exc:
                 raise ConfigError(f"partition {i}: {exc}") from None
         for i, pts in enumerate(blocks, start=1):

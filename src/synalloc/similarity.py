@@ -400,13 +400,16 @@ def ensemble_similarity(
 
     Every centroid is scored by the three metrics, weighted, and pooled; the
     centroid with the highest similarity wins (ties go to the first row).
-    Inputs must be non-negative; this is the entry point for synopses built
-    outside the engine, so it checks theta/k and the centroid array.
+    Inputs must be finite and non-negative; this is the entry point for
+    synopses built outside the engine, so it checks theta/k and the centroid
+    array.
     """
     if syn.centroids.ndim != 2 or not len(syn.centroids):
         raise ConfigError(f"synopsis centroid array of shape {syn.centroids.shape}: need one row or more")
     xv = as_vector(x, dim=syn.centroids.shape[1], nonneg=True)
     _check_weight_params(theta, k)
+    if not np.isfinite(syn.centroids).all():
+        raise VectorError("malformed input: non-finite synopsis centroid")
     if (syn.centroids < 0).any():
         raise VectorError("domain error: negative synopsis centroid")
     offsets = np.array([0, syn.centroids.shape[0]])

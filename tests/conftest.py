@@ -1,10 +1,13 @@
+import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from synalloc import Synopsis
+from synalloc import ClusterFeature, Synopsis
 
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_DIR = ROOT / "bench"
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -16,6 +19,22 @@ def fixtures_dir() -> Path:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def load_bench(name: str):
+    """The module ``bench/<name>.py``, loaded by file path so that ``bench/`` never goes on ``sys.path``."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def cf_of(points) -> ClusterFeature:
+    """The cluster feature of ``points``, folded one point at a time with ``merge``."""
+    cf = ClusterFeature.from_point(np.asarray(points[0], dtype=np.float64))
+    for p in points[1:]:
+        cf = cf.merge(ClusterFeature.from_point(np.asarray(p, dtype=np.float64)))
+    return cf
 
 
 def make_synopsis(centroids, partition_id=1, count=100, version=1) -> Synopsis:

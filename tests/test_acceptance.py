@@ -2,7 +2,9 @@
 
 Run with plain pytest; the PASS/FAIL lines bypass output capture so they are
 visible in any run. Total runtime is dominated by the scenario-replication
-criterion (15 full 10,000-vector runs).
+criterion (15 full 10,000-vector runs). Criterion 5 checks each routing
+decision against ``bench/oracle.py``, an independent oracle in plain Python
+that imports no synalloc code.
 """
 
 import json
@@ -14,7 +16,6 @@ import pytest
 from synalloc import (
     AllocationEngine,
     CFTree,
-    ClusterFeature,
     EngineConfig,
     ScenarioSpec,
     compute_weights,
@@ -25,7 +26,9 @@ from synalloc import (
 )
 from synalloc.cli import main as cli_main
 
-from test_engine import naive_allocate
+from conftest import cf_of, load_bench
+
+oracle = load_bench("oracle")
 
 SEEDS = (1, 2, 3, 4, 5)
 SCENARIOS = {1: (25.0, 10.0), 2: (25.0, 20.0), 3: (50.0, 50.0)}
@@ -88,19 +91,12 @@ def test_criterion_3_weight_rule(announce):
 
 def test_criterion_4_cf_correctness(announce):
     rng = np.random.default_rng(4)
-
-    def from_points(pts):
-        cf = ClusterFeature.from_point(pts[0])
-        for p in pts[1:]:
-            cf = cf.merge(ClusterFeature.from_point(p))
-        return cf
-
     additive = True
     for _ in range(1_000):
         n, d = int(rng.integers(2, 40)), int(rng.integers(1, 8))
         pts = rng.uniform(0.0, 1e3, size=(n, d))
         cut = int(rng.integers(1, n))
-        merged = from_points(pts[:cut]).merge(from_points(pts[cut:]))
+        merged = cf_of(pts[:cut]).merge(cf_of(pts[cut:]))
         ok = (
             merged.count == n
             and np.allclose(merged.linear_sum, pts.sum(axis=0), rtol=1e-9, atol=1e-9)
@@ -132,9 +128,10 @@ def test_criterion_5_allocation_oracle(announce):
         cfg = EngineConfig(n_partitions=n, dimension=d, alpha=1)
         eng = AllocationEngine(cfg, [p.reshape(1, -1) for p in points])
         x = rng.uniform(0.0, 50.0, size=d)
-        if eng.allocate(x)[0] == naive_allocate(x, [[p] for p in points]):
+        sims = oracle.route(x.tolist(), [[p] for p in points.tolist()], cfg.theta, cfg.outlier_k)
+        if eng.allocate(x)[0] == sims.index(max(sims)) + 1:
             agree += 1
-    announce(5, "allocation matches naive oracle", agree == trials,
+    announce(5, "allocation matches independent oracle", agree == trials,
              f" ({agree}/{trials} agree)")
 
 

@@ -2,12 +2,13 @@
 
 ``bench/test_bench.py`` lies outside the default test paths, so these
 checks run its contract with ``src/`` here, without a subprocess and
-without putting ``bench/`` on ``sys.path``.
+without putting ``bench/`` on ``sys.path``. One more check keeps
+``bench/oracle.py``, which the routing tests compare the package with,
+free of any import beyond the standard library.
 """
 
 import ast
-import importlib.util
-from pathlib import Path
+import sys
 
 import numpy as np
 import pytest
@@ -15,8 +16,7 @@ import pytest
 import synalloc
 from synalloc import AllocationEngine, EngineConfig
 
-ROOT = Path(__file__).resolve().parent.parent
-BENCH_DIR = ROOT / "bench"
+from conftest import BENCH_DIR, ROOT, load_bench
 
 
 def bench_constants(names):
@@ -31,13 +31,6 @@ def bench_constants(names):
     return found
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_DIR / "spans.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("name", ["ALLOCATE_RESULT", "ARGMAX"])
 def test_each_mutation_target_occurs_once_in_the_engine(name):
     original, mutated = bench_constants([name])[name]
@@ -47,7 +40,7 @@ def test_each_mutation_target_occurs_once_in_the_engine(name):
 
 
 def test_the_span_tracer_patches_and_observes_the_engine():
-    spans = load_spans()
+    spans = load_bench("spans")
     tracer = spans.Tracer()
     rng = np.random.default_rng(4)
     initial = [rng.uniform(0, 10, size=(40, 3)) + 10 * i for i in range(2)]  # fewer than alpha
@@ -66,3 +59,15 @@ def test_the_span_tracer_patches_and_observes_the_engine():
     assert tracer.counts[("setup", "synopsis.fallback")] == 2 + 12  # no entry reaches alpha 50
     assert tracer.counts[("setup", "similarity.rows")] == len(eng.synopses[0].centroids)
     assert score.similarity == 1.0
+
+
+def test_the_oracle_imports_only_the_standard_library():
+    """Every routing test checks the engine against bench/oracle.py, so it must not import the code it checks."""
+    tree = ast.parse((BENCH_DIR / "oracle.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or "").partition(".")[0])
+    assert imported and imported <= sys.stdlib_module_names, sorted(imported - sys.stdlib_module_names)

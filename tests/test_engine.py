@@ -23,52 +23,9 @@ from synalloc.similarity import centroid_sums, sums_in_bound
 import synalloc.engine
 import synalloc.similarity
 
-from conftest import make_synopsis, tree_state
+from conftest import load_bench, make_synopsis, tree_state
 
-
-# ------------------------------------------------------- naive oracle
-# A from-scratch, loop-based evaluation of the metric ensemble and the argmax
-# routing rule. No numpy, no shared helpers: disagreements point at real bugs.
-
-def naive_metrics(x, s):
-    sx, ss = sum(x), sum(s)
-    if sx == 0.0 and ss == 0.0:
-        return [0.0, 0.0, 0.0]
-    if sx == 0.0 or ss == 0.0:
-        return [1.0, 1.0, 1.0]
-    sd = sum(abs(a - b) for a, b in zip(x, s))
-    sm = sum(min(a, b) for a, b in zip(x, s))
-    o1 = 2.0 * sd / (sx + ss + sd)
-    o2 = sd / (sx + ss)
-    o3 = 1.0 - 0.5 * (sm / sx + sm / ss)
-    return [min(1.0, max(0.0, o)) for o in (o1, o2, o3)]
-
-
-def naive_pool(outcomes, theta=0.1, k=3.0):
-    n = len(outcomes)
-    mean = sum(outcomes) / n
-    sd = math.sqrt(sum((o - mean) ** 2 for o in outcomes) / n)
-    flagged = [abs(o - mean) > k * sd for o in outcomes] if sd > 0 else [False] * n
-    n_out = sum(flagged)
-    if sd == 0.0 or n_out == 0 or n_out == n:
-        weights = [1.0 / n] * n
-    else:
-        rest = (1.0 - n_out * theta) / (n - n_out)
-        weights = [theta if f else rest for f in flagged]
-    return sum(w * o for w, o in zip(weights, outcomes))
-
-
-def naive_allocate(x, partition_centroids, theta=0.1, k=3.0):
-    """1-based argmax of similarity; ties to the lowest partition id."""
-    best_id, best_sim = None, None
-    for pid, centroids in enumerate(partition_centroids, start=1):
-        sim = max(
-            1.0 - naive_pool(naive_metrics(list(x), list(c)), theta, k)
-            for c in centroids
-        )
-        if best_sim is None or sim > best_sim + 1e-15:
-            best_id, best_sim = pid, sim
-    return best_id
+oracle = load_bench("oracle")
 
 
 def reference_json_line(rec):
@@ -212,17 +169,23 @@ class TestEngineInit:
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's ComplexWarning included
     def test_bad_initial_data_is_one_config_error_whatever_the_threshold(self, data):
-        """The block is checked before the data-scaled threshold reads it."""
+        """The block is checked, in numpy's own dtype, before it is cast or the data-scaled threshold reads it."""
         dim = data.draw(st.integers(1, 6))
         blocks = [data.draw(hnp.arrays(np.float64, (rows, dim), elements=st.floats(0.0, 1e3)))
                   for rows in data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))]
-        planted = data.draw(st.none() | st.sampled_from([np.nan, np.inf, -np.inf, -1.0]))
+        # A planted component, or a block that numpy does not read as real numbers, or as a block at all.
+        retyped = {"complex": lambda b: b + 4j, "text": lambda b: b.astype(str), "objects": lambda b: b.astype(object),
+                   "ragged": lambda b: [*b.tolist(), [0.0] * (dim + 1)]}
+        planted = data.draw(st.none() | st.sampled_from([np.nan, np.inf, -np.inf, -1.0, *retyped]))
         if planted is not None:
             pid = data.draw(st.integers(1, len(blocks)))
             block = blocks[pid - 1]
-            block[data.draw(st.integers(0, len(block) - 1)), data.draw(st.integers(0, dim - 1))] = planted
+            if planted in retyped:
+                blocks[pid - 1] = retyped[planted](block)
+            else:
+                block[data.draw(st.integers(0, len(block) - 1)), data.draw(st.integers(0, dim - 1))] = planted
         errors = []
         for threshold in (None, 1.0):
             cfg = EngineConfig(n_partitions=len(blocks), dimension=dim, alpha=5, threshold=threshold)
@@ -273,8 +236,8 @@ class TestAllocate:
             points = rng.uniform(0.0, 30.0, size=(n, 3))
             eng = engine_around(points)
             x = rng.uniform(0.0, 30.0, size=3)
-            want = naive_allocate(x, [[p] for p in points])
-            assert eng.allocate(x)[0] == want
+            sims = oracle.route(x.tolist(), [[p] for p in points.tolist()], eng.config.theta, eng.config.outlier_k)
+            assert eng.allocate(x)[0] == sims.index(max(sims)) + 1
 
     def test_scores_cover_every_partition(self):
         eng = engine_around([[1.0, 1.0], [9.0, 9.0], [20.0, 20.0]])

@@ -21,6 +21,8 @@ from synalloc import (
     sorensen_dissim,
 )
 from synalloc.similarity import (
+    DEFAULT_OUTLIER_K,
+    DEFAULT_THETA,
     METRICS,
     SUM_BOUND,
     WeightVector,
@@ -32,8 +34,9 @@ from synalloc.similarity import (
     sums_in_bound,
 )
 
-from conftest import make_synopsis
-from test_engine import naive_metrics, naive_pool
+from conftest import load_bench, make_synopsis
+
+oracle = load_bench("oracle")
 
 ALL_METRICS = [jaccard_dissim, sorensen_dissim, kulczynski_dissim]
 
@@ -275,7 +278,7 @@ def _vector_or_zero(d):
 
 
 class TestPublicApiMatchesOracle:
-    """The public scalar functions against the loop-based oracle of test_engine."""
+    """The public scalar functions against the loop-based oracle in bench/oracle.py."""
 
     @given(
         pair=st.integers(1, 8).flatmap(lambda d: st.tuples(_vector_or_zero(d), _vector_or_zero(d))),
@@ -285,10 +288,10 @@ class TestPublicApiMatchesOracle:
     @settings(max_examples=500, deadline=None)
     def test_metrics_and_pool(self, pair, theta, k):
         x, s = pair
-        want = naive_metrics(x.tolist(), s.tolist())
+        want = list(oracle.dissimilarities(x.tolist(), s.tolist()))
         assert [m(x, s) for m in ALL_METRICS] == pytest.approx(want, abs=1e-12)
         pooled = opinion_pool(want, compute_weights(want, theta, k))
-        assert pooled == pytest.approx(naive_pool(want, theta, k), abs=1e-12)
+        assert pooled == pytest.approx(oracle.pooled(want, theta, k), abs=1e-12)
 
 
 # ---------------------------------------------------------------- weights
@@ -502,14 +505,6 @@ class TestOutlierRuleSkip:
 
 # ---------------------------------------------------------------- ensemble
 
-def naive_ensemble(x, centroids, theta=0.1, k=3.0):
-    """Best similarity over the centroids under the loop-based oracle of test_engine."""
-    return max(
-        1.0 - naive_pool(naive_metrics(list(x), c), theta, k)
-        for c in np.atleast_2d(centroids).tolist()
-    )
-
-
 class TestEnsembleSimilarity:
     def test_reference_pair_similarity(self):
         syn = make_synopsis([[1.0, 3.0]])
@@ -550,7 +545,8 @@ class TestEnsembleSimilarity:
         x, centroids = case
         syn = make_synopsis(centroids)
         got = ensemble_similarity(x, syn).similarity
-        assert got == pytest.approx(naive_ensemble(x, centroids), abs=1e-10)
+        want = oracle.partition_similarity(x.tolist(), centroids.tolist(), DEFAULT_THETA, DEFAULT_OUTLIER_K)
+        assert got == pytest.approx(want, abs=1e-10)
 
     def test_similarity_is_bounded(self, rng):
         for _ in range(100):
@@ -564,6 +560,11 @@ class TestEnsembleSimilarity:
             ensemble_similarity([-1.0, 2.0], syn)
         with pytest.raises(VectorError):
             ensemble_similarity([1.0, 2.0, 3.0], syn)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(VectorError, match="^malformed input: non-finite synopsis centroid$"):
+                ensemble_similarity([1.0, 2.0], make_synopsis([[bad, 1.0]]))
+        with pytest.raises(VectorError, match="^domain error: negative synopsis centroid$"):
+            ensemble_similarity([1.0, 2.0], make_synopsis([[-1.0, 1.0]]))
         with pytest.raises(ConfigError):
             ensemble_similarity([1.0, 2.0], syn, theta=0.5)
         with pytest.raises(ConfigError):

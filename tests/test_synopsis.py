@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from synalloc import ClusterFeature, CFTree, EmptyClusterError, VectorError, extract_synopsis, synopsis
 from synalloc.validation import as_vector
 
-from conftest import tree_state
+from conftest import cf_of, tree_state
 
 
 # ---------------------------------------------------------------- oracles
@@ -255,13 +255,6 @@ def _reference_split(tree: CFTree, node):
     tree._nodes[node] = ids[~to_b]
     tree._nodes.append(ids[to_b])
     return len(tree._nodes) - 1
-
-
-def cf_of(points) -> ClusterFeature:
-    cf = ClusterFeature.from_point(np.asarray(points[0], dtype=np.float64))
-    for p in points[1:]:
-        cf = cf.merge(ClusterFeature.from_point(np.asarray(p, dtype=np.float64)))
-    return cf
 
 
 # Magnitudes stay modest: the SS - LS^2/L cancellation makes the *radius* of a
