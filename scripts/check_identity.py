@@ -35,6 +35,9 @@ length:
   zero: they absorb into dominant entries, so all-zero centroid rows stay
   published and every ingest scores on the kernel's guarded path, while
   the stream still spreads over all three partitions;
+- ``run`` from the same file split into 12 partitions (seed 1, 500
+  vectors, report and records), whose split draws no row for partition 5
+  and must be repaired;
 - preset 2 refreshing every 3 inserts (seed 4), so that the message count
   in the JSON report comes from a batched refresh schedule;
 - ``validate --seed 9``, once as is, once refreshing every 7 inserts and
@@ -109,6 +112,8 @@ def cases() -> list[tuple[str, list[str]]]:
                                           "--vectors", "5000", "--seed", "6", *outputs]))
     out.append(("run-zero-rows", ["run", "--seed", "1", *ZERO_ROWS, *outputs]))
     out.append(("validate-zero-rows", ["validate", "--seed", "9", *ZERO_ROWS]))
+    out.append(("run-dataset-split-p12", ["run", "--seed", "1", *ZERO_ROWS[:2], "--partitions", "12",
+                                          "--vectors", "500", *outputs]))
     out.append(("run-s2-seed4-refresh3", ["run", "--scenario", "2", "--seed", "4", "--refresh", "3", *outputs]))
     out.append(("validate-seed9", ["validate", "--seed", "9"]))
     out.append(("validate-seed9-refresh7", ["validate", "--seed", "9", "--refresh", "7"]))

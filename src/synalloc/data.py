@@ -146,11 +146,19 @@ def synth_stream(spec: ScenarioSpec, dim: int) -> np.ndarray:
 
 
 def random_split(ds: Dataset, n: int, seed: int) -> list[np.ndarray]:
-    """Assign every row to one of ``n`` partitions uniformly at random."""
+    """Assign every row to one of ``n`` partitions uniformly at random, leaving none empty.
+
+    Each row draws its partition independently. A draw that leaves one empty
+    is repaired from the same generator: partition i gets row
+    ``permutation[i]`` of a random permutation, the other rows keep their draw.
+    """
     check_int(n, "n_partitions", 1)
     if n > ds.n_rows:
         raise ConfigError(f"cannot split {ds.n_rows} rows into {n} partitions")
-    assign = np.random.default_rng(seed).integers(0, n, size=ds.n_rows)
+    rng = np.random.default_rng(seed)
+    assign = rng.integers(0, n, size=ds.n_rows)
+    if np.unique(assign).size < n:
+        assign[rng.permutation(ds.n_rows)[:n]] = np.arange(n)
     return [np.flatnonzero(assign == i) for i in range(n)]
 
 

@@ -2,8 +2,8 @@
 
 Each partition keeps a CF-tree plus the synopsis last extracted from it.
 Allocation reads only the synopses (never raw data or live trees): their
-centroids are stacked into one matrix, kept current as synopses are
-published, and every partition is scored in one pass over it. The chosen
+centroids are stacked into one ``RoutingMatrix``, kept current as synopses
+are published, and every partition is scored in one pass over it. The chosen
 partition then absorbs the vector and, every ``refresh_interval`` inserts,
 re-extracts and "disseminates" its synopsis under the next version (not
 transmitted; all peers live in-process), so the versions count the messages.
@@ -20,15 +20,12 @@ from .errors import ConfigError, VectorError
 from .similarity import (
     DEFAULT_OUTLIER_K,
     DEFAULT_THETA,
-    SUM_BOUND,
+    RoutingMatrix,
     SegmentScores,
     _check_weight_params,
     _outlier_rule,
-    centroid_sums,
     ensemble_similarity,  # unused here; bench/spans.py patches synalloc.engine.ensemble_similarity
-    in_kernel_order,
     score_segments,
-    sums_in_bound,
 )
 from .synopsis import CFTree, Synopsis, _check_tree_params, extract_synopsis
 from .validation import as_vector, check_int
@@ -124,17 +121,6 @@ def default_threshold(points: np.ndarray) -> float:
     return max(t, THRESHOLD_FLOOR_FACTOR * float(points.max()), 1e-12)  # 1e-12: all-zero rows
 
 
-def stack_centroids(synopses: Sequence[Synopsis]) -> tuple[np.ndarray, np.ndarray]:
-    """All synopses' centroids as one matrix, with each synopsis's row offsets.
-
-    The engine's routing matrix also carries the rows' ``centroid_sums`` and
-    whether they are ``sums_in_bound``; ``_stack_synopses`` builds both from
-    this matrix, and the audit rebuilds them to check the cached ones.
-    """
-    centroids = [s.centroids for s in synopses]
-    return np.concatenate(centroids), np.cumsum([0] + [len(c) for c in centroids])
-
-
 class AllocationEngine:
     """Single-writer allocator over N in-process partitions."""
 
@@ -179,41 +165,14 @@ class AllocationEngine:
                 tree.insert(row, validated=True)
             syn = extract_synopsis(tree, config.alpha, i, version=1)
             self.partitions.append(PartitionState(tree, syn, initial_count=pts.shape[0]))
-        self._stack_synopses()
-
-    def _stack_synopses(self) -> None:
-        """Rebuild the routing matrix from every partition's current synopsis.
-
-        The matrix carries its rows' ``centroid_sums`` and whether they are
-        ``sums_in_bound``, so that scoring neither sums the rows nor, under
-        the bound, guards its divisions. It is stored ``in_kernel_order``:
-        Fortran below 8 components, C from 8 on, where ``_publish`` sums the
-        patched rows pairwise where they lie, as ``centroid_sums`` does.
-        """
-        # New arrays, never patched: the SegmentScores that allocate returned hold
-        # the old _offsets and read them when their scores are first read.
-        centroids, self._offsets = stack_centroids(self.synopses)
-        self._sums = centroid_sums(centroids)
-        self._bounded = sums_in_bound(self._sums)
-        self._centroids = in_kernel_order(centroids)
+        self._matrix = RoutingMatrix([s.centroids for s in self.synopses])
 
     def _publish(self, pid: int, syn: Synopsis) -> None:
-        """Make ``syn`` partition ``pid``'s synopsis and bring the routing matrix up to date.
-
-        With the row count unchanged the rows are patched in place and summed where they
-        lie; the flag is then re-derived from the patched sums, with a scan of every row
-        only when it was down (a row outside the bound may be the one replaced). The
-        patched sums, usually one, are checked in Python: two ufunc reductions cost more.
-        """
+        """Make ``syn`` partition ``pid``'s synopsis and bring the routing matrix up to date:
+        its rows are patched in place when their count is unchanged, else the matrix is rebuilt."""
         self.partitions[pid - 1].current_synopsis = syn
-        lo, hi = self._offsets[pid - 1], self._offsets[pid]
-        if hi - lo == len(syn.centroids):  # same row count: patch the partition's rows in place
-            self._centroids[lo:hi] = syn.centroids
-            patched = np.add.reduce(self._centroids[lo:hi], axis=1, out=self._sums[lo:hi])
-            self._bounded = (all(0.0 < s <= SUM_BOUND for s in patched.tolist())  # sums_in_bound; NaN fails
-                             and (self._bounded or sums_in_bound(self._sums)))
-        else:
-            self._stack_synopses()
+        if not self._matrix.patch(pid - 1, syn.centroids):
+            self._matrix = RoutingMatrix([s.centroids for s in self.synopses])
 
     # -- queries -------------------------------------------------------
 
@@ -246,8 +205,7 @@ class AllocationEngine:
 
     def _allocate(self, v: np.ndarray) -> tuple[int, SegmentScores]:
         cfg = self.config
-        scores = score_segments(v, self._centroids, self._offsets, cfg.theta, cfg.outlier_k,
-                                self._sums, self._bounded)
+        scores = score_segments(v, self._matrix, cfg.theta, cfg.outlier_k)
         sims = scores.similarities
         return int(np.argmax(sims)) + 1, scores  # first max: lowest partition id
 
@@ -284,6 +242,8 @@ class AllocationEngine:
     def audit(self) -> AuditReport:
         """Report-only pass over the module invariants.
 
+        Synopsis compliance includes the refresh schedule: each synopsis's version
+        is 1 plus the refreshes that its partition's inserts have made due.
         The weight probe checks the weights the router's outlier rule built; where
         the router skipped the rule, it checks ``_outlier_rule``'s weights and that
         its pooled values equal the router's bit for bit (NaN equal to NaN).
@@ -306,6 +266,10 @@ class AllocationEngine:
         alpha_ok = weights_ok = stackable = True
         for pid, p in numbered:
             syn = p.current_synopsis
+            due = 1 + (p.tree.total_points - p.initial_count) // cfg.refresh_interval
+            if syn.version != due:  # a publish skipped, or made off its insert
+                alpha_ok = False
+                issues.append(f"partition {pid}: synopsis version {syn.version}, the refresh schedule gives {due}")
             counts, rows = syn.counts, syn.counts.size
             if (counts < cfg.alpha).any() and rows != 1:
                 alpha_ok = False
@@ -332,29 +296,28 @@ class AllocationEngine:
                            f"partition {pid}: domain error: negative synopsis centroid"]
 
         if stackable:  # else there is no matrix to compare or probe; the shape issues stand for both
-            centroids, offsets = stack_centroids(self.synopses)
+            live, fresh = self._matrix, RoutingMatrix([s.centroids for s in self.synopses])
             if not (
-                np.array_equal(self._centroids, centroids)
-                and np.array_equal(self._offsets, offsets)
+                np.array_equal(live.centroids, fresh.centroids)
+                and np.array_equal(live.offsets, fresh.offsets)
             ):
                 alpha_ok = False
                 issues.append("routing matrix differs from the published centroids")
-            sums = centroid_sums(centroids)  # recomputed, never read from the cache it checks
-            if not np.array_equal(self._sums, sums):
+            if not np.array_equal(live.sums, fresh.sums):
                 alpha_ok = False
                 issues.append("routing matrix row sums differ from the published centroids")
-            bounded = sums_in_bound(sums)
-            if self._bounded != bounded:
+            if live.bounded != fresh.bounded:
                 alpha_ok = False
-                issues.append(f"routing matrix fault-free flag is {self._bounded}, "
-                              f"the published row sums give {bounded}")
+                issues.append(f"routing matrix fault-free flag is {live.bounded}, "
+                              f"the published row sums give {fresh.bounded}")
+            offsets = fresh.offsets
             row_pid = np.repeat(np.arange(1, len(offsets)), np.diff(offsets))
-            # The router's kernel on the router's path: every row against each partition's
-            # first centroid and, always guarded as its sum is 0, the zero vector.
-            probes = [(f" for partition {pid}'s first centroid", centroids[lo])
+            # The router's kernel on the router's path, over the fresh matrix: every row against
+            # each partition's first centroid and, always guarded as its sum is 0, the zero vector.
+            probes = [(f" for partition {pid}'s first centroid", fresh.centroids[lo])
                       for pid, lo in enumerate(offsets[:-1].tolist(), start=1)]
             for name, x in probes + [(" for the zero vector", np.zeros(cfg.dimension))]:
-                scores = score_segments(x, centroids, offsets, cfg.theta, cfg.outlier_k, sums, bounded)
+                scores = score_segments(x, fresh, cfg.theta, cfg.outlier_k)
                 w, pooled = scores.rule_weights, scores.pooled
                 skip_differs = np.zeros(len(pooled), dtype=bool)
                 if w is None:  # the router skipped the rule: run it, and hold the skip to it

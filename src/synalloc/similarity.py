@@ -12,11 +12,11 @@ and the n = 3 outcomes of a row) run over a leading axis. numpy adds fewer
 than 8 terms strictly left to right, along a row or a leading axis alike, so
 every value is bit-identical to the row-by-row formulas, and a reduction
 over a leading axis costs a fraction of one over many rows of length 3 or 5.
-Below 8 components the engine stores its routing matrix in Fortran order
-(``in_kernel_order``), so that the kernel's (M, rows) ``.T`` view of it is
-contiguous. The outlier rule looks each row's weights up by its outlier
-count in two small tables built once per (n, theta), rather than computing
-them row by row.
+The kernel reads a ``RoutingMatrix``: the stacked centroid rows in its
+memory order, each row's sum, and a flag that lets it divide unguarded.
+The outlier rule looks each row's weights up by its outlier count in two
+small tables built once per (n, theta), rather than computing them row by
+row.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -86,7 +87,7 @@ def _outcomes(x, s) -> np.ndarray:
     """Validated (J, S, K) outcomes of one pair: the one-row case of ``_dissim_rows``."""
     xv = as_vector(x, nonneg=True)
     sv = as_vector(s, dim=xv.shape[0], nonneg=True)
-    return _dissim_rows(xv, sv[None, :])[0]
+    return _dissim_rows(xv, RoutingMatrix([sv[None, :]]))[0]
 
 
 def jaccard_dissim(x, s) -> float:
@@ -139,35 +140,57 @@ SUM_BOUND = 2.0**1020
 _UNGUARDED = contextlib.nullcontext()
 
 
-def centroid_sums(centroids: np.ndarray) -> np.ndarray:
-    """Every centroid row's sum, bit for bit as ``_dissim_rows`` would sum it.
-
-    The rows are summed C-ordered, whatever the layout of ``centroids``: that
-    is the kernel's layout from M = 8 on, where numpy sums a row pairwise, and
-    below 8 numpy adds left to right in any layout.
-    """
-    return np.add.reduce(np.ascontiguousarray(centroids), axis=1)
-
-
-def in_kernel_order(centroids: np.ndarray) -> np.ndarray:
-    """``centroids`` in the memory order ``_dissim_rows`` reads them in.
-
-    Below 8 components that is Fortran order, which makes the kernel's
-    (M, rows) ``.T`` view contiguous. From 8 on the kernel reads rows, and
-    numpy sums a row pairwise, so a C-ordered matrix is returned as it is.
-    """
-    return np.asfortranarray(centroids) if centroids.shape[1] < 8 else centroids
-
-
-def sums_in_bound(sums: np.ndarray) -> bool:
+def _in_bound(sums: np.ndarray) -> bool:
     """Whether every row sum lies in (0, SUM_BOUND]; NaN fails."""
     return bool(np.minimum.reduce(sums) > 0.0 and np.maximum.reduce(sums) <= SUM_BOUND)
 
 
-def _dissim_rows(
-    x: np.ndarray, centroids: np.ndarray, sums: np.ndarray | None = None, bounded: bool = False
-) -> np.ndarray:
-    """Metric outcomes for ``x`` against every centroid row; shape (rows, 3).
+class RoutingMatrix:
+    """Centroid rows stacked in segments, held as ``_dissim_rows`` reads them.
+
+    Rows ``offsets[s]`` to ``offsets[s + 1] - 1`` form segment ``s``; in the
+    engine, one partition's synopsis. ``centroids`` is in the kernel's memory
+    order: Fortran below 8 components, which makes the kernel's (M, rows)
+    ``.T`` view contiguous, and C from 8 on, where numpy sums a row pairwise.
+    ``sums`` holds each row's sum bit for bit as the kernel would take it,
+    and ``bounded`` says whether every row sum lies in (0, SUM_BOUND], NaN
+    failing. ``offsets`` is never written: earlier ``SegmentScores`` read it.
+    """
+
+    __slots__ = ("centroids", "offsets", "sums", "bounded")
+
+    def __init__(self, blocks: Sequence[np.ndarray]):
+        # C-ordered whatever the blocks' layout (the concatenation of one Fortran block stays
+        # Fortran), so that from M = 8 on each row is summed pairwise, as the kernel reads it.
+        stacked = np.ascontiguousarray(np.concatenate(blocks))
+        self.offsets = np.array([0, *itertools.accumulate(map(len, blocks))])
+        self.sums = np.add.reduce(stacked, axis=1)
+        self.bounded = _in_bound(self.sums)
+        self.centroids = np.asfortranarray(stacked) if stacked.shape[1] < 8 else stacked
+
+    def patch(self, s: int, rows: np.ndarray) -> bool:
+        """Write ``rows`` over segment ``s`` in place, with their sums and the flag.
+
+        Only when the row count is unchanged; otherwise nothing changes, and
+        False tells the caller to build a new matrix. Summed where they lie,
+        the rows get a fresh build's sums (left to right below 8 components,
+        C-ordered rows from 8 on). The flag is re-derived from the patched
+        sums, usually one, checked in Python as two ufunc reductions cost
+        more; every row is scanned only when it was down, as a row outside
+        the bound may be the one replaced.
+        """
+        lo, hi = self.offsets[s], self.offsets[s + 1]
+        if hi - lo != len(rows):
+            return False
+        self.centroids[lo:hi] = rows
+        patched = np.add.reduce(self.centroids[lo:hi], axis=1, out=self.sums[lo:hi])
+        self.bounded = (all(0.0 < v <= SUM_BOUND for v in patched.tolist())  # _in_bound; NaN fails
+                        and (self.bounded or _in_bound(self.sums)))
+        return True
+
+
+def _dissim_rows(x: np.ndarray, matrix: RoutingMatrix) -> np.ndarray:
+    """Metric outcomes for ``x`` against every row of ``matrix``; shape (rows, 3).
 
     With ``a`` the summed absolute difference, ``t`` the total abundance and
     ``m`` the summed shared minimum: J = 2a / (t + a), S = a / t and
@@ -181,20 +204,16 @@ def _dissim_rows(
     is (2, M, rows), summed over its middle axis: numpy adds fewer than 8
     terms left to right along any axis, so the sums equal a row-wise sum bit
     for bit, at a fraction of its cost over many rows. Its inputs are read
-    through the (M, rows) ``.T`` view of ``centroids``, which is contiguous
-    when the matrix is Fortran-ordered, as ``in_kernel_order`` lays it out.
+    through the (M, rows) ``.T`` view of the matrix's Fortran-ordered rows.
     From M = 8 on numpy sums a row pairwise, so the block is (2, rows, M)
-    and is summed along its rows, read from a C-ordered matrix.
-    K is computed in its output row, with no temporary.
-
-    ``sums`` are the row sums ``centroid_sums`` builds, and ``bounded`` says
-    whether ``sums_in_bound`` holds for them; the engine keeps both with its
-    routing matrix. A caller that passes no sums has them built here.
+    and is summed along its rows, read from C-ordered rows.
+    K is computed in its output row, with no temporary. The row sums are
+    the matrix's own, and its flag decides, with sum(x), whether the
+    divisions are guarded.
     """
+    centroids, sums = matrix.centroids, matrix.sums
     rows, m = centroids.shape
     sx = float(np.add.reduce(x))
-    if sums is None:
-        sums = centroid_sums(centroids)
     if m < 8:
         block = np.empty((2, m, rows))
         c, xv, axis = centroids.T, x[:, None], 1
@@ -215,10 +234,8 @@ def _dissim_rows(
     # < 2^1022 and m <= (1 + 2^-10) min(sum(x), sum(c)). So t <= 2^1021,
     # t + a < 2^1023 and 2a < 2^1023 are finite; the denominators t, t + a,
     # sum(x) and sum(c) are all positive; and every quotient is below 3.
-    # Every other call is guarded: a zero or huge x, a zero or huge row sum,
-    # and every caller that passes no flag (the scalar metrics and
-    # ensemble_similarity).
-    guarded = not (bounded and 0.0 < sx <= SUM_BOUND)
+    # Every other call is guarded: a zero or huge x, or a zero or huge row sum.
+    guarded = not (matrix.bounded and 0.0 < sx <= SUM_BOUND)
     out = np.empty((3, rows))
     tot = sx + sums
     # Inputs are non-negative, so a zero denominator needs a zero row sum: those rows are set below.
@@ -312,16 +329,13 @@ def _outlier_rule(t: np.ndarray, theta: float, k: float) -> tuple[np.ndarray, np
 
 @dataclass
 class SegmentScores(Sequence):
-    """Fused scores of one vector against a stack of centroid segments.
-
-    Rows ``offsets[s]`` to ``offsets[s + 1] - 1`` of the stack form segment
-    ``s``; in the engine a segment is one partition's synopsis.
+    """Fused scores of one vector against the segments of a ``RoutingMatrix``.
 
     It is also a read-only sequence of each segment's ``EnsembleScore``:
     ``ensemble_scores`` builds them all on the first item read, and later
     reads return the same objects. Every field holds arrays made for this
-    one call, plus ``offsets``, which the owner must replace rather than
-    patch. So scores read late are the scores as of the call. The fields
+    one call, plus the matrix's ``offsets``, which no matrix ever writes.
+    So scores read late are the scores as of the call. The fields
     keep what scoring computed: ``rule_weights`` is None where ``_pool`` skipped the rule.
     """
 
@@ -366,28 +380,21 @@ class SegmentScores(Sequence):
 
 def score_segments(
     xv: np.ndarray,
-    centroids: np.ndarray,
-    offsets: np.ndarray,
+    matrix: RoutingMatrix,
     theta: float = DEFAULT_THETA,
     k: float = DEFAULT_OUTLIER_K,
-    sums: np.ndarray | None = None,
-    bounded: bool = False,
 ) -> SegmentScores:
-    """Score an already validated vector against every centroid row in one pass.
+    """Score an already validated vector against every row of ``matrix`` in one pass.
 
     Every row is scored by the three metrics, weighted, and pooled; each
-    segment's similarity is the best of its rows. ``offsets`` must start at 0,
-    end at the row count, and describe non-empty segments. Nothing is checked:
-    theta/k and the centroid signs are the caller's to check, once. ``sums``
-    and ``bounded`` are the rows' ``centroid_sums`` and whether they are
-    ``sums_in_bound``: a caller that keeps the matrix keeps them with it, and
-    ``_dissim_rows`` then neither sums the rows nor, for 0 < sum(x) <= 2^1020
-    under the bound, guards its divisions.
+    segment's similarity is the best of its rows. Nothing is checked:
+    theta/k and the centroid signs are the caller's to check, once. The
+    matrix's segments must be non-empty.
     """
-    dissims = _dissim_rows(xv, centroids, sums, bounded)
+    dissims = _dissim_rows(xv, matrix)
     w, pooled = _pool(dissims.T, theta, k)
-    best = np.maximum.reduceat(1.0 - pooled, offsets[:-1])
-    return SegmentScores(best, dissims, pooled, offsets, theta, None if w is None else w.T)
+    best = np.maximum.reduceat(1.0 - pooled, matrix.offsets[:-1])
+    return SegmentScores(best, dissims, pooled, matrix.offsets, theta, None if w is None else w.T)
 
 
 def ensemble_similarity(
@@ -412,5 +419,4 @@ def ensemble_similarity(
         raise VectorError("malformed input: non-finite synopsis centroid")
     if (syn.centroids < 0).any():
         raise VectorError("domain error: negative synopsis centroid")
-    offsets = np.array([0, syn.centroids.shape[0]])
-    return score_segments(xv, syn.centroids, offsets, theta, k).ensemble_scores()[0]
+    return score_segments(xv, RoutingMatrix([syn.centroids]), theta, k).ensemble_scores()[0]

@@ -86,6 +86,12 @@ class TestRun:
         assert code == EXIT_OK
         assert json.loads(out.read_text())["dataset_source"].endswith("uci_style.csv")
 
+    def test_dataset_split_leaves_no_partition_empty(self, fixtures_dir):
+        # Seed 1's draw of 12 partitions over the file's 48 clean rows leaves partition 5 empty.
+        code = run_cli("run", "--dataset", str(fixtures_dir / "zero_rows.csv"),
+                       "--partitions", "12", "--vectors", "10", "--seed", "1")
+        assert code == EXIT_OK
+
     def test_dataset_from_environment(self, tmp_path, fixtures_dir, monkeypatch):
         monkeypatch.setenv(DATASET_ENV, str(fixtures_dir / "uci_style.csv"))
         out = tmp_path / "r.json"

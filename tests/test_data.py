@@ -222,6 +222,20 @@ class TestRandomSplit:
         assert sum(sizes) == 5000
         assert min(sizes) > 800  # expected 1000 each
 
+    @given(data=st.data(), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_no_partition_is_empty_and_a_full_draw_stands(self, data, seed):
+        from synalloc import Dataset
+
+        rows = data.draw(st.integers(1, 60))
+        n = data.draw(st.integers(1, rows))
+        parts = random_split(Dataset(np.ones((rows, 5)), list("abcde"), "mem"), n, seed)
+        assert len(parts) == n and all(len(p) for p in parts)
+        assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(rows))
+        drawn = np.random.default_rng(seed).integers(0, n, rows)
+        if np.unique(drawn).size == n:
+            assert all(np.array_equal(p, np.flatnonzero(drawn == i)) for i, p in enumerate(parts))
+
     def test_more_partitions_than_rows(self, fixtures_dir):
         ds = load_air_quality(fixtures_dir / "plain_small.csv")
         with pytest.raises(ConfigError):

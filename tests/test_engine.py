@@ -18,8 +18,8 @@ from synalloc import (
     ensemble_similarity,
     extract_synopsis,
 )
-from synalloc.engine import AllocationRecord, stack_centroids
-from synalloc.similarity import centroid_sums, sums_in_bound
+from synalloc.engine import AllocationRecord
+from synalloc.similarity import SUM_BOUND, RoutingMatrix
 import synalloc.engine
 import synalloc.similarity
 
@@ -505,8 +505,8 @@ class TestAudit:
             target = eng.synopses[1].centroids[0]
             real_dissim = synalloc.similarity._dissim_rows
 
-            def dissim(x, centroids, *sums):  # outcomes below 0 for one probe only
-                d = real_dissim(x, centroids, *sums)
+            def dissim(x, matrix):  # outcomes below 0 for one probe only
+                d = real_dissim(x, matrix)
                 return d - 1.0 if np.array_equal(x, target) else d
 
             monkeypatch.setattr(synalloc.similarity, "_dissim_rows", dissim)
@@ -536,17 +536,19 @@ class TestAudit:
         assert report.checks["mass_conservation"] and report.checks["synopsis_alpha_compliance"]
 
     def test_weight_probe_takes_the_routers_path(self, rng, monkeypatch):
-        # The centroid probes get the rebuilt sums and flag, as allocate does; the zero vector is guarded.
+        # The probes score a rebuilt matrix, with its sums and flag, as allocate scores the engine's;
+        # the zero vector is guarded.
         eng = self._run_engine(rng)
         real_dissim = synalloc.similarity._dissim_rows
         paths = []
 
-        def dissim(x, centroids, sums=None, bounded=False):
-            paths.append((x.any(), sums is not None and sums.tobytes() == eng._sums.tobytes(), bounded))
-            return real_dissim(x, centroids, sums, bounded)
+        def dissim(x, matrix):
+            paths.append((x.any(), matrix is not eng._matrix and matrix.sums.tobytes() == eng._matrix.sums.tobytes(),
+                          matrix.bounded))
+            return real_dissim(x, matrix)
 
         monkeypatch.setattr(synalloc.similarity, "_dissim_rows", dissim)
-        assert eng._bounded and eng.audit().ok
+        assert eng._matrix.bounded and eng.audit().ok
         assert paths == [(True, True, True)] * eng.config.n_partitions + [(False, True, True)]
 
     def test_reports_a_negative_published_centroid(self, rng):
@@ -598,9 +600,9 @@ class TestAudit:
         eng = AllocationEngine(EngineConfig(n_partitions=2, dimension=2, alpha=1000), initial)
         publish = eng._publish
         if fault == "matrix":
-            eng._centroids[1, 0] += 1e-9
+            eng._matrix.centroids[1, 0] += 1e-9
         elif fault == "offsets":
-            eng._offsets[1] += 1
+            eng._matrix.offsets[1] += 1
         elif fault == "skipped_rebuild":  # the synopsis is published, the matrix left as it was
             monkeypatch.setattr(eng, "_publish", lambda pid, syn: setattr(eng.partitions[pid - 1], "current_synopsis", syn))
             eng.ingest([3.0, 4.0])
@@ -614,7 +616,7 @@ class TestAudit:
             monkeypatch.setattr(eng, "_publish", publish_without_write)
             install_synopses(eng, [[[3.0, 4.0], [5.0, 5.0]], [[15.0, 15.0]]])
             eng.ingest([3.0, 4.0])  # two rows back to the one-row fallback: a rebuild
-            assert eng.audit().ok and eng._offsets.tolist() == [0, 1, 2]
+            assert eng.audit().ok and eng._matrix.offsets.tolist() == [0, 1, 2]
             eng.ingest([3.0, 4.0])  # one row to one row: the skipped write
         report = eng.audit()
         assert not report.checks["synopsis_alpha_compliance"]
@@ -626,17 +628,46 @@ class TestAudit:
         initial = [rng.uniform(0, 10, size=(30, 2)) + 10 * i for i in range(2)]
         eng = AllocationEngine(EngineConfig(n_partitions=2, dimension=2, alpha=1000), initial)
         if fault == "stale_sum":  # one ulp off
-            eng._sums[1] = np.nextafter(eng._sums[1], np.inf)
+            eng._matrix.sums[1] = np.nextafter(eng._matrix.sums[1], np.inf)
             want = ["routing matrix row sums differ from the published centroids"]
         else:
             install_synopses(eng, [[[3.0, 4.0]], [[0.0, 0.0]]])
             assert eng.audit().ok
-            eng._bounded = True
+            eng._matrix.bounded = True
             want = ["routing matrix fault-free flag is True, the published row sums give False"]
         report = eng.audit()
         assert not report.checks["synopsis_alpha_compliance"]
         assert [i for i in report.issues if i.startswith("routing matrix")] == want
         assert report.checks["mass_conservation"] and report.checks["cf_consistency"]
+
+    @pytest.mark.parametrize("refresh", [1, 3])
+    @pytest.mark.parametrize("fault", ["skipped_publish", "publish_one_insert_late"])
+    def test_detects_a_publish_off_the_refresh_schedule(self, rng, monkeypatch, refresh, fault):
+        # The matrix follows every publish that happens, so only the versions can show the fault.
+        initial = [rng.uniform(0, 10, size=(30, 2)) + 10 * i for i in range(2)]
+        eng = AllocationEngine(EngineConfig(n_partitions=2, dimension=2, alpha=1000, refresh_interval=refresh),
+                               initial)
+        publish, due = eng._publish, []
+        monkeypatch.setattr(eng, "_publish", lambda pid, syn: due.append(pid))
+        failed = []
+        for n in range(1, 2 * refresh + 2):
+            late, due[:] = list(due), []
+            assert eng.ingest([3.0, 4.0]).chosen == 1
+            if fault == "publish_one_insert_late":  # the publish that fell due on the insert before
+                for pid in late:
+                    p = eng.partitions[pid - 1]
+                    publish(pid, extract_synopsis(p.tree, eng.config.alpha, pid, p.current_synopsis.version + 1))
+            report = eng.audit()
+            if not report.ok:
+                version, schedule = eng.synopses[0].version, 1 + n // refresh
+                assert report.issues == [f"partition 1: synopsis version {version}, "
+                                         f"the refresh schedule gives {schedule}"]
+                assert [k for k, ok in report.checks.items() if not ok] == ["synopsis_alpha_compliance"]
+                failed.append(n)
+        if fault == "skipped_publish":
+            assert failed == list(range(refresh, 2 * refresh + 2))
+        else:  # behind on each insert that falls due, caught up on the next
+            assert failed == [n for n in range(1, 2 * refresh + 2) if n % refresh == 0]
 
 
 # ------------------------------------------------------- fused scoring
@@ -676,17 +707,18 @@ def assert_same_synopsis(got, want):
 
 
 def assert_sums_of_a_fresh_build(eng):
-    """The routing matrix's cached row sums and flag equal those built afresh from the synopses."""
-    sums = centroid_sums(stack_centroids(eng.synopses)[0])
-    assert (eng._sums.dtype, eng._sums.tobytes()) == (sums.dtype, sums.tobytes())
-    assert eng._bounded is sums_in_bound(sums)
+    """The routing matrix's row sums and flag equal those taken afresh over the C-ordered published rows."""
+    sums = np.concatenate([s.centroids for s in eng.synopses]).sum(axis=1)
+    matrix = eng._matrix
+    assert (matrix.sums.dtype, matrix.sums.tobytes()) == (sums.dtype, sums.tobytes())
+    assert matrix.bounded is bool(((sums > 0.0) & (sums <= SUM_BOUND)).all())
 
 
 def install_synopses(eng, partitions):
-    """Publish one synopsis per partition, centroids as given."""
+    """Publish one synopsis per partition, centroids as given, and build the engine a matrix of them."""
     for p, rows in zip(eng.partitions, partitions):
         p.current_synopsis = make_synopsis(rows, partition_id=p.current_synopsis.partition_id)
-    eng._stack_synopses()
+    eng._matrix = RoutingMatrix([s.centroids for s in eng.synopses])
 
 
 def assert_allocate_matches_per_synopsis(eng, x):
@@ -740,12 +772,14 @@ class TestRoutingMatrix:
         eng = AllocationEngine(cfg, initial)
         for x in rng.uniform(0, 3 * n_partitions + 1, size=(60, dimension)):
             eng.ingest(x)
-            centroids, offsets = stack_centroids(eng.synopses)
-            assert (eng._centroids.shape, eng._centroids.dtype) == (centroids.shape, centroids.dtype)
+            centroids = np.concatenate([s.centroids for s in eng.synopses])
+            offsets = np.cumsum([0] + [len(s.centroids) for s in eng.synopses])
+            matrix = eng._matrix
+            assert (matrix.centroids.shape, matrix.centroids.dtype) == (centroids.shape, centroids.dtype)
             # The kernel's memory order: its (M, rows) view contiguous below M = 8, its rows from 8 on.
-            assert eng._centroids.flags["F_CONTIGUOUS" if dimension < 8 else "C_CONTIGUOUS"]
-            assert eng._centroids.tobytes() == centroids.tobytes()
-            assert (eng._offsets.dtype, eng._offsets.tobytes()) == (offsets.dtype, offsets.tobytes())
+            assert matrix.centroids.flags["F_CONTIGUOUS" if dimension < 8 else "C_CONTIGUOUS"]
+            assert matrix.centroids.tobytes() == centroids.tobytes()
+            assert (matrix.offsets.dtype, matrix.offsets.tobytes()) == (offsets.dtype, offsets.tobytes())
             assert_sums_of_a_fresh_build(eng)
 
     @pytest.mark.parametrize("dimension", [2, 8, 129])
@@ -766,16 +800,18 @@ class TestRoutingMatrix:
             kinds = data.draw(st.lists(st.sampled_from(["zero", "huge", "nan", "plain"]), min_size=1, max_size=4))
             rows = [{"zero": np.zeros(dimension), "huge": huge, "nan": nan}.get(k, rng.uniform(0, 1e4, dimension))
                     for k in kinds]
-            sums, same_rows = eng._sums, len(eng.synopses[pid - 1].centroids) == len(rows)
+            matrix, same_rows = eng._matrix, len(eng.synopses[pid - 1].centroids) == len(rows)
+            offsets, sums = matrix.offsets.tobytes(), matrix.sums
             with np.errstate(over="ignore"):  # the sums and square sums of 2^1020
                 eng._publish(pid, make_synopsis(rows, partition_id=pid))
-            assert (eng._sums is sums) == same_rows
+            assert (eng._matrix is matrix) == same_rows and matrix.sums is sums
+            assert matrix.offsets.tobytes() == offsets  # never patched: earlier scores read them
             assert_sums_of_a_fresh_build(eng)
 
     def test_sums_and_flag_follow_a_zero_row_in_and_out(self):
         eng = AllocationEngine(EngineConfig(n_partitions=2, dimension=2), [np.ones((3, 2)), 5 * np.ones((3, 2))])
         install_synopses(eng, [[[0.0, 0.0]], [[3.0, 4.0]]])
-        assert not eng._bounded
+        assert not eng._matrix.bounded
         assert_sums_of_a_fresh_build(eng)
         steps = [  # (partition, centroids, patched in place, flag after)
             (1, [[1.0, 2.0]], True, True),
@@ -786,11 +822,11 @@ class TestRoutingMatrix:
             (1, [[7.0, 1.0], [2.0, 2.0]], False, True),
         ]
         for pid, rows, in_place, bounded in steps:
-            sums = eng._sums
+            matrix = eng._matrix
             with np.errstate(over="ignore"):  # the square sums of 2^1020
                 syn = make_synopsis(rows, partition_id=pid)
             eng._publish(pid, syn)
-            assert (eng._sums is sums) == in_place and eng._bounded == bounded
+            assert (eng._matrix is matrix) == in_place and eng._matrix.bounded == bounded
             assert_sums_of_a_fresh_build(eng)
 
 
@@ -879,7 +915,7 @@ class TestScoresOnRead:
         cfg = EngineConfig(n_partitions=3, dimension=3, alpha=3, threshold=0.5, outlier_k=1.2)
         return AllocationEngine(cfg, initial)
 
-    def test_late_reads_are_the_scores_as_of_the_call(self, monkeypatch):
+    def test_late_reads_are_the_scores_as_of_the_call(self):
         eng = self._engine()
         cfg = eng.config
         x = np.array([2.0, 5.0, 3.0])
@@ -887,18 +923,15 @@ class TestScoresOnRead:
         kept = eng.synopses
         assert [len(s.centroids) for s in kept] == [3, 3, 1]
 
-        restacks = []
-        stack = eng._stack_synopses
-        monkeypatch.setattr(eng, "_stack_synopses", lambda: restacks.append(1) or stack())
-        patched = 0
+        restacks = patched = 0
         # Absorbs that move a published centroid, points for the fallback partition,
         # and three copies of a new point, which becomes a dominant cluster.
         stream = [[1.1, 1.0, 1.0], [16.2, 16.0, 15.9], [0.0, 9.0, 3.5], [4.0, 29.0, 0.5]] + [[9.0, 3.0, 0.0]] * 3
         for v in stream:
-            rows = [len(s.centroids) for s in eng.synopses]
-            n_restacks = len(restacks)
+            rows, matrix = [len(s.centroids) for s in eng.synopses], eng._matrix
             eng.ingest(v)
-            patched += len(restacks) == n_restacks and rows == [len(s.centroids) for s in eng.synopses]
+            restacks += eng._matrix is not matrix
+            patched += eng._matrix is matrix and rows == [len(s.centroids) for s in eng.synopses]
         assert restacks and patched
         assert [s.version for s in eng.synopses] != [s.version for s in kept]
         now = eng.allocate(x)[1]

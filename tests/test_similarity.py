@@ -25,13 +25,12 @@ from synalloc.similarity import (
     DEFAULT_THETA,
     METRICS,
     SUM_BOUND,
+    RoutingMatrix,
     WeightVector,
     _dissim_rows,
     _outlier_rule,
     _pool,
-    centroid_sums,
     score_segments,
-    sums_in_bound,
 )
 
 from conftest import load_bench, make_synopsis
@@ -130,6 +129,14 @@ def reference_dissim_rows(x, centroids):
     return np.clip(np.stack([o1, o2, o3], axis=1), 0.0, 1.0)
 
 
+def dissim_rows(x, centroids, guarded=False):
+    """``_dissim_rows`` over a one-segment matrix of ``centroids``; ``guarded`` lowers its fault-free flag."""
+    matrix = RoutingMatrix([centroids])
+    if guarded:
+        matrix.bounded = False
+    return _dissim_rows(x, matrix)
+
+
 def assert_same_bits(got, want):
     """Equal bit for bit, except that any NaN matches any NaN."""
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -168,15 +175,15 @@ class TestFusedKernel:
     def test_matches_the_reference_bit_for_bit(self, case):
         x, centroids = case
         with np.errstate(all="ignore"):  # sums near 1e300 overflow in both
-            assert_same_bits(_dissim_rows(x, centroids), reference_dissim_rows(x, centroids))
+            assert_same_bits(dissim_rows(x, centroids, guarded=True), reference_dissim_rows(x, centroids))
 
     def test_does_not_depend_on_the_memory_layout(self, rng):
-        # The sums are taken in one C-ordered block, so a Fortran-ordered
-        # matrix sums each row in the same order (pairwise from M = 8 on).
+        # The matrix sums its rows C-ordered, so a Fortran-ordered block
+        # has each row summed in the same order (pairwise from M = 8 on).
         x = rng.uniform(0, 1, 20)
         centroids = rng.uniform(0, 1e3, (30, 20))
-        got = _dissim_rows(x, np.asfortranarray(centroids))
-        assert got.tobytes() == _dissim_rows(x, centroids).tobytes()
+        got = dissim_rows(x, np.asfortranarray(centroids))
+        assert got.tobytes() == dissim_rows(x, centroids).tobytes()
         assert got.tobytes() == reference_dissim_rows(x, centroids).tobytes()
 
     @pytest.mark.parametrize("rows", [1, 2, 386])
@@ -190,8 +197,8 @@ class TestFusedKernel:
         x = rng.uniform(0, 1, m) * 10.0 ** rng.uniform(-5, 5, m)
         centroids = rng.uniform(0, 1, (rows, m)) * 10.0 ** rng.uniform(-5, 5, (rows, 1))
         centroids[1::5] = 0.0
-        assert_same_bits(_dissim_rows(x, centroids), reference_dissim_rows(x, centroids))
-        assert_same_bits(_dissim_rows(np.zeros(m), centroids), reference_dissim_rows(np.zeros(m), centroids))
+        assert_same_bits(dissim_rows(x, centroids), reference_dissim_rows(x, centroids))
+        assert_same_bits(dissim_rows(np.zeros(m), centroids), reference_dissim_rows(np.zeros(m), centroids))
 
     def test_numpy_sums_fewer_than_eight_terms_left_to_right(self):
         """Canary for the kernels' bit-identity: both lay out sums of fewer than 8 terms
@@ -219,20 +226,21 @@ class TestFusedKernel:
         centroids[[1, 4]] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _dissim_rows(x, centroids)
+            got = dissim_rows(x, centroids)
         assert_same_bits(got, reference_dissim_rows(x, centroids))
         assert got[[1, 4]].tolist() == [[0.0 if x_zero else 1.0] * 3] * 2  # identical / disjoint
 
     @given(st.one_of(kernel_cases(), st.sampled_from([1, 7, 8, 9, 129]).flatmap(kernel_cases)), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_with_the_matrix_sums_matches_the_reference_bit_for_bit(self, case, fortran):
-        # The sums and flag as the engine builds them, from a matrix in either memory layout.
+        # The sums and flag as the engine builds them, from blocks in either memory layout.
         x, centroids = case
-        c = np.asfortranarray(centroids) if fortran else centroids
-        sums = centroid_sums(c)
-        assert sums.tobytes() == centroids.sum(axis=1).tobytes()
+        matrix = RoutingMatrix([np.asfortranarray(centroids) if fortran else centroids])
+        assert matrix.sums.tobytes() == centroids.sum(axis=1).tobytes()
+        assert matrix.centroids.flags["F_CONTIGUOUS" if centroids.shape[1] < 8 else "C_CONTIGUOUS"]
+        assert matrix.centroids.tobytes() == centroids.tobytes()
         with np.errstate(all="ignore"):  # sums near 1e300 overflow in both
-            got = _dissim_rows(x, c, sums, sums_in_bound(sums))
+            got = _dissim_rows(x, matrix)
             assert_same_bits(got, reference_dissim_rows(x, centroids))
 
     @pytest.mark.parametrize("m", [3, 9])
@@ -250,24 +258,43 @@ class TestFusedKernel:
         centroids = np.array([[0.05, 0.02, 0.01] * 3, [3e-320] * 9])[:, :m]
         centroids = np.vstack([centroids, np.zeros(m)])
         centroids[-1, -1] = row_sum
-        sums = centroid_sums(centroids)
-        assert float(np.add.reduce(x)) == x_sum and sums[-1] == row_sum
-        bounded = sums_in_bound(sums)
-        unguarded = bounded and 0.0 < x_sum <= SUM_BOUND
+        matrix = RoutingMatrix([centroids])
+        assert float(np.add.reduce(x)) == x_sum and matrix.sums[-1] == row_sum
+        unguarded = matrix.bounded and 0.0 < x_sum <= SUM_BOUND
         assert unguarded == (0.0 < x_sum <= SUM_BOUND and row_sum <= SUM_BOUND)
 
         errstate, entered = np.errstate, []
         monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
         with errstate(over="raise", divide="raise", invalid="raise"):
-            got = _dissim_rows(x, centroids, sums, bounded)
+            got = _dissim_rows(x, matrix)
         assert entered == ([] if unguarded else [{"divide": "ignore", "invalid": "ignore"}])
         with errstate(all="ignore"):
             assert_same_bits(got, reference_dissim_rows(x, centroids))
 
     def test_a_zero_row_sum_or_nan_fails_the_bound(self):
-        assert sums_in_bound(np.array([1.0, SUM_BOUND, 5e-324]))
+        # One-component rows: each row's sum is its value.
+        assert RoutingMatrix([np.array([[1.0], [SUM_BOUND], [5e-324]])]).bounded is True
         for sums in ([1.0, 0.0], [1.0, -0.0], [1.0, np.nan], [np.inf, 1.0], [np.nextafter(SUM_BOUND, np.inf)]):
-            assert not sums_in_bound(np.array(sums))
+            assert RoutingMatrix([np.array(sums)[:, None]]).bounded is False
+
+
+class TestRoutingMatrix:
+    @pytest.mark.parametrize("m", [2, 9])
+    def test_patch_writes_a_segment_in_place_only_at_its_row_count(self, rng, m):
+        a, b, zeros = rng.uniform(0, 1, (2, m)), rng.uniform(0, 1, (3, m)), np.zeros((3, m))
+        matrix = RoutingMatrix([a, b])
+        arrays = (matrix.centroids, matrix.offsets, matrix.sums)
+        before = [x.tobytes() for x in arrays]
+        assert matrix.patch(1, zeros[:2]) is False  # two rows for three: nothing changes
+        assert [x.tobytes() for x in arrays] == before and matrix.bounded is True
+        for rows, bounded in ((zeros, False), (b, True)):  # a zero row brings the flag down, a scan back up
+            assert matrix.patch(1, rows) is True
+            fresh = RoutingMatrix([a, rows])
+            assert all(x is y for x, y in zip((matrix.centroids, matrix.offsets, matrix.sums), arrays))
+            assert matrix.centroids.flags["F_CONTIGUOUS" if m < 8 else "C_CONTIGUOUS"]
+            for name in ("centroids", "offsets", "sums"):
+                assert getattr(matrix, name).tobytes() == getattr(fresh, name).tobytes()
+            assert matrix.bounded is fresh.bounded is bounded
 
 
 def _vector_or_zero(d):
@@ -464,7 +491,7 @@ class TestOutlierRuleSkip:
         # The router hands _pool, and the audit _outlier_rule, the kernel's (3, rows) buffer.
         x = rng.uniform(0, 1, 5)
         centroids = rng.uniform(0, 1, (386, 5)) * 10.0 ** rng.uniform(-3, 3, (386, 1))
-        view = _dissim_rows(x, centroids)
+        view = dissim_rows(x, centroids)
         assert view.T.flags.c_contiguous
         c_order = np.ascontiguousarray(view)
         want_w, want_pooled = full_rule(c_order, 0.1, k)
@@ -484,7 +511,7 @@ class TestOutlierRuleSkip:
     def test_segment_weights_are_built_when_the_rule_runs_or_when_read(self, rng, k):
         x = rng.uniform(0, 1, 5)
         centroids = rng.uniform(0, 1, (40, 5)) * 10.0 ** rng.uniform(-3, 3, (40, 1))
-        scores = score_segments(x, centroids, np.array([0, 17, 40]), 0.1, k)
+        scores = score_segments(x, RoutingMatrix([centroids[:17], centroids[17:]]), 0.1, k)
         want = full_rule(np.ascontiguousarray(scores.dissims), 0.1, k)[0]
         if k * k >= 6:
             assert scores.rule_weights is None  # what ingest leaves unbuilt
