@@ -23,6 +23,14 @@ length:
   every crossing is published at once;
 - preset 2 at alpha 1 (seed 3), where every leaf entry is dominant from
   the moment it is created;
+- preset 1 at 6 and 7 partitions (seed 1), whose one-row synopses make a
+  routing matrix of 30 and 35 numbers: just inside and just outside the
+  float path's bound (``FLOAT_PATH_MAX``), so that one case is scored in
+  plain floats and the other on the kernel;
+- preset 1 in 2 partitions at alpha 400 and threshold 18.0 (seed 1), whose
+  synopses publish 1-3 rows each while the matrix stays inside that bound
+  (so the float path takes each segment's best of several rows), and
+  up to 13 rows once it grows past it;
 - preset 1 at alpha 2 and threshold 4.0 (seed 8), which publishes hundreds
   of dominant entries on every insert, many of them tied at count 2, and
   ``validate`` in the same configuration (seed 9), whose audit reads them;
@@ -104,6 +112,10 @@ def cases() -> list[tuple[str, list[str]]]:
     out.append(("run-alpha-crossing", ["run", "--scenario", "1", "--seed", "2", "--partitions", "16", "--alpha", "5",
                                        "--threshold", "4.0", "--refresh", "1", *outputs]))
     out.append(("run-alpha1", ["run", "--scenario", "2", "--seed", "3", "--alpha", "1", *outputs]))
+    out.extend((f"run-s1-p{n}", ["run", "--scenario", "1", "--seed", "1", "--partitions", str(n), *outputs])
+               for n in (6, 7))
+    out.append(("run-p2-alpha400-threshold18", ["run", "--scenario", "1", "--seed", "1", "--partitions", "2",
+                                                "--alpha", "400", "--threshold", "18.0", *outputs]))
     out.append(("run-alpha2-threshold4", ["run", "--scenario", "1", "--seed", "8", "--alpha", "2",
                                           "--threshold", "4.0", *outputs]))
     out.append(("validate-seed9-alpha2-threshold4", ["validate", "--seed", "9", "--alpha", "2",

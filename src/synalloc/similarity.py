@@ -17,6 +17,14 @@ memory order, each row's sum, and a flag that lets it divide unguarded.
 The outlier rule looks each row's weights up by its outlier count in two
 small tables built once per (n, theta), rather than computing them row by
 row.
+
+A small matrix costs the kernel ~20 numpy calls whatever its size, so
+``score_segments`` scores it in plain Python floats instead
+(``_score_floats``), with the kernel's arithmetic in the kernel's order and
+so the same bits. It does so only on the kernel's fault-free path, with the
+outlier rule skipped, M < 8 and rows x M at most ``FLOAT_PATH_MAX``: Python
+floats overflow silently and raise on division by zero, so nothing outside
+that domain may reach them. The matrix holds the lists that path reads.
 """
 
 from __future__ import annotations
@@ -25,8 +33,9 @@ import contextlib
 import enum
 import functools
 import itertools
+import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,6 +146,9 @@ def opinion_pool(outcomes, weights: WeightVector) -> float:
 
 # Fault-free bound on sum(x) and on every centroid row sum; see ``_dissim_rows``.
 SUM_BOUND = 2.0**1020
+# Most numbers (rows x M) that ``score_segments`` scores in plain Python floats: beyond it numpy's
+# per-call cost is the smaller. Its cost is mostly per row, so M = 1 sets the bound.
+FLOAT_PATH_MAX = 30
 _UNGUARDED = contextlib.nullcontext()
 
 
@@ -155,18 +167,25 @@ class RoutingMatrix:
     ``sums`` holds each row's sum bit for bit as the kernel would take it,
     and ``bounded`` says whether every row sum lies in (0, SUM_BOUND], NaN
     failing. ``offsets`` is never written: earlier ``SegmentScores`` read it.
+    The blocks are stacked as float64, so that integer rows are summed as
+    floats and cannot wrap. ``floats`` holds the rows and their sums as
+    Python lists for ``score_segments``' float path, when M < 8 and
+    rows x M is at most ``FLOAT_PATH_MAX``; otherwise it is None.
     """
 
-    __slots__ = ("centroids", "offsets", "sums", "bounded")
+    __slots__ = ("centroids", "offsets", "sums", "bounded", "floats")
 
     def __init__(self, blocks: Sequence[np.ndarray]):
         # C-ordered whatever the blocks' layout (the concatenation of one Fortran block stays
         # Fortran), so that from M = 8 on each row is summed pairwise, as the kernel reads it.
-        stacked = np.ascontiguousarray(np.concatenate(blocks))
+        stacked = np.ascontiguousarray(np.concatenate(blocks), dtype=np.float64)
         self.offsets = np.array([0, *itertools.accumulate(map(len, blocks))])
         self.sums = np.add.reduce(stacked, axis=1)
         self.bounded = _in_bound(self.sums)
-        self.centroids = np.asfortranarray(stacked) if stacked.shape[1] < 8 else stacked
+        m = stacked.shape[1]
+        self.centroids = np.asfortranarray(stacked) if m < 8 else stacked
+        small = m < 8 and stacked.size <= FLOAT_PATH_MAX
+        self.floats = (stacked.tolist(), self.sums.tolist()) if small else None
 
     def patch(self, s: int, rows: np.ndarray) -> bool:
         """Write ``rows`` over segment ``s`` in place, with their sums and the flag.
@@ -177,15 +196,20 @@ class RoutingMatrix:
         C-ordered rows from 8 on). The flag is re-derived from the patched
         sums, usually one, checked in Python as two ufunc reductions cost
         more; every row is scanned only when it was down, as a row outside
-        the bound may be the one replaced.
+        the bound may be the one replaced. ``floats`` gets new lists, not
+        writes into its old ones.
         """
-        lo, hi = self.offsets[s], self.offsets[s + 1]
+        lo, hi = self.offsets[s:s + 2].tolist()
         if hi - lo != len(rows):
             return False
-        self.centroids[lo:hi] = rows
-        patched = np.add.reduce(self.centroids[lo:hi], axis=1, out=self.sums[lo:hi])
-        self.bounded = (all(0.0 < v <= SUM_BOUND for v in patched.tolist())  # _in_bound; NaN fails
+        block = self.centroids[lo:hi]
+        block[...] = rows
+        patched = np.add.reduce(block, axis=1, out=self.sums[lo:hi]).tolist()
+        self.bounded = (all(0.0 < v <= SUM_BOUND for v in patched)  # _in_bound; NaN fails
                         and (self.bounded or _in_bound(self.sums)))
+        if self.floats is not None:
+            old_rows, old_sums = self.floats
+            self.floats = old_rows[:lo] + block.tolist() + old_rows[hi:], old_sums[:lo] + patched + old_sums[hi:]
         return True
 
 
@@ -260,6 +284,11 @@ def _dissim_rows(x: np.ndarray, matrix: RoutingMatrix) -> np.ndarray:
     return np.minimum(out, 1.0, out=out).T
 
 
+def _rule_skipped(n: int, k: float) -> bool:
+    """Whether the outlier rule cannot fire over ``n`` outcomes at factor ``k``: k^2 >= 2n (see ``_pool``)."""
+    return k * k >= 2 * n
+
+
 def _pool(t: np.ndarray, theta: float, k: float) -> tuple[np.ndarray | None, np.ndarray]:
     """The weight rule on metric-major outcomes ``t`` of shape (n, rows).
 
@@ -269,7 +298,7 @@ def _pool(t: np.ndarray, theta: float, k: float) -> tuple[np.ndarray | None, np.
     ``_outlier_rule`` runs.
     """
     n = t.shape[0]
-    if k * k >= 2 * n:
+    if _rule_skipped(n, k):
         # The rule cannot fire, so every row gets what an unflagged row gets:
         # (1 - 0 * theta) / n == 1 / n. Each deviation's square is at most n
         # times the computed variance, up to round-off. That round-off is
@@ -327,25 +356,41 @@ def _outlier_rule(t: np.ndarray, theta: float, k: float) -> tuple[np.ndarray, np
     return w, np.add.reduce(t * w, axis=0)
 
 
-@dataclass
 class SegmentScores(Sequence):
     """Fused scores of one vector against the segments of a ``RoutingMatrix``.
 
     It is also a read-only sequence of each segment's ``EnsembleScore``:
     ``ensemble_scores`` builds them all on the first item read, and later
-    reads return the same objects. Every field holds arrays made for this
+    reads return the same objects. Every field holds values made for this
     one call, plus the matrix's ``offsets``, which no matrix ever writes.
-    So scores read late are the scores as of the call. The fields
-    keep what scoring computed: ``rule_weights`` is None where ``_pool`` skipped the rule.
+    So scores read late are the scores as of the call. The fields keep
+    what scoring computed: ``rule_weights`` is None where ``_pool`` skipped
+    the rule. The float path hands its values over as ``per_row``, a list
+    of (J, S, K) tuples and a list of pooled values; ``dissims`` and
+    ``pooled`` are built from them on first read, as the kernel lays them out.
     """
 
-    similarities: np.ndarray  # (segments,) best fused similarity per segment
-    dissims: np.ndarray  # (rows, 3) metric outcomes per centroid row
-    pooled: np.ndarray  # (rows,)
-    offsets: np.ndarray  # (segments + 1,)
-    theta: float
-    rule_weights: np.ndarray | None  # (rows, 3) as the outlier rule built them; None where it was skipped
-    _items: list[EnsembleScore] | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, similarities: np.ndarray, offsets: np.ndarray, theta: float,
+                 dissims: np.ndarray | None = None, pooled: np.ndarray | None = None,
+                 rule_weights: np.ndarray | None = None, per_row: tuple[list, list] | None = None):
+        self.similarities = similarities  # (segments,) best fused similarity per segment
+        self.offsets = offsets  # (segments + 1,)
+        self.theta = theta
+        self.rule_weights = rule_weights  # (rows, 3) as the outlier rule built them; None where it was skipped
+        self._per_row = per_row
+        if per_row is None:  # else the cached properties build them
+            self.dissims, self.pooled = dissims, pooled
+        self._items: list[EnsembleScore] | None = None
+
+    @functools.cached_property
+    def dissims(self) -> np.ndarray:
+        """(rows, 3) metric outcomes per centroid row: a ``.T`` view of a (3, rows) buffer."""
+        return np.array(self._per_row[0], order="F")
+
+    @functools.cached_property
+    def pooled(self) -> np.ndarray:
+        """(rows,) pooled dissimilarity per centroid row."""
+        return np.array(self._per_row[1])
 
     def __len__(self) -> int:
         return len(self.similarities)
@@ -378,6 +423,57 @@ class SegmentScores(Sequence):
         ]
 
 
+def _takes_float_path(matrix: RoutingMatrix, k: float) -> bool:
+    """Whether ``score_segments`` may score ``matrix`` in floats, before it reads sum(x).
+
+    The matrix holds its lists (M < 8, rows x M at most ``FLOAT_PATH_MAX``),
+    its row sums are fault-free, and the outlier rule is skipped.
+    """
+    return matrix.floats is not None and matrix.bounded and _rule_skipped(len(METRICS), k)
+
+
+def _score_floats(x: list[float], sx: float, matrix: RoutingMatrix, theta: float) -> SegmentScores:
+    """``score_segments`` in plain Python floats, bit for bit: the kernel's arithmetic in its order.
+
+    Only for what ``_takes_float_path`` admits and 0 < sum(x) <= SUM_BOUND,
+    the kernel's unguarded path: no division by zero, no overflow, no NaN.
+    Each sum of fewer than 8 terms runs left to right, as numpy adds them.
+    c - x and x - c differ only in sign, so |c - x| and min(c, x) come from
+    one comparison. J and S are non-negative and K is at most 1, exactly, so
+    each needs only its other clip. Pooling is ((J/3 + S/3) + K/3), as
+    ``_pool`` sums its leading axis; a segment's similarity is its best row's.
+    """
+    third = 1.0 / len(METRICS)
+    outcomes, pooled, sims = [], [], []
+    for c, sc in zip(*matrix.floats):
+        a = m = 0.0
+        for ci, xi in zip(c, x):
+            if ci > xi:
+                a += ci - xi
+                m += xi
+            else:
+                a += xi - ci
+                m += ci
+        t = sx + sc
+        j = 2.0 * a / (t + a)
+        if j > 1.0:
+            j = 1.0
+        s = a / t
+        if s > 1.0:
+            s = 1.0
+        kul = 1.0 - (m / sx + m / sc) * 0.5
+        if kul < 0.0:
+            kul = 0.0
+        p = j * third + s * third + kul * third
+        outcomes.append((j, s, kul))
+        pooled.append(p)
+        sims.append(1.0 - p)
+    offsets = matrix.offsets
+    if len(sims) > len(offsets) - 1:  # some segment holds more than one row
+        sims = [max(sims[lo:hi]) for lo, hi in itertools.pairwise(offsets.tolist())]
+    return SegmentScores(np.array(sims), offsets, theta, per_row=(outcomes, pooled))
+
+
 def score_segments(
     xv: np.ndarray,
     matrix: RoutingMatrix,
@@ -390,11 +486,28 @@ def score_segments(
     segment's similarity is the best of its rows. Nothing is checked:
     theta/k and the centroid signs are the caller's to check, once. The
     matrix's segments must be non-empty.
+
+    Small matrices are scored in plain Python floats (``_score_floats``),
+    where numpy's per-call cost would be most of the time. That path is
+    taken when all of these hold: the matrix's row sums are fault-free,
+    0 < sum(x) <= SUM_BOUND, M < 8, the outlier rule is skipped (k^2 >= 2n),
+    and rows x M is at most ``FLOAT_PATH_MAX``. It gives the kernel's
+    values bit for bit. Everything else takes the kernel.
     """
+    if _takes_float_path(matrix, k):
+        x = xv.tolist()
+        sx = functools.reduce(operator.add, x, 0.0)  # left to right; sum() compensates from Python 3.12
+        if 0.0 < sx <= SUM_BOUND:
+            return _score_floats(x, sx, matrix, theta)
+    return _score_kernel(xv, matrix, theta, k)
+
+
+def _score_kernel(xv: np.ndarray, matrix: RoutingMatrix, theta: float, k: float) -> SegmentScores:
+    """``score_segments`` on the numpy kernel, whatever the matrix: ``_dissim_rows``, then ``_pool``."""
     dissims = _dissim_rows(xv, matrix)
     w, pooled = _pool(dissims.T, theta, k)
     best = np.maximum.reduceat(1.0 - pooled, matrix.offsets[:-1])
-    return SegmentScores(best, dissims, pooled, matrix.offsets, theta, None if w is None else w.T)
+    return SegmentScores(best, matrix.offsets, theta, dissims, pooled, None if w is None else w.T)
 
 
 def ensemble_similarity(

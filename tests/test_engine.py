@@ -19,7 +19,7 @@ from synalloc import (
     extract_synopsis,
 )
 from synalloc.engine import AllocationRecord
-from synalloc.similarity import SUM_BOUND, RoutingMatrix
+from synalloc.similarity import SUM_BOUND, RoutingMatrix, _takes_float_path
 import synalloc.engine
 import synalloc.similarity
 
@@ -532,12 +532,15 @@ class TestAudit:
             return
         assert not report.checks["weight_convexity"]
         skip = [i for i in report.issues if "outlier-rule skip pools differently from the rule" in i]
-        assert skip and skip == report.issues, report.issues
+        # The router's float path pools as the rule does, so it now differs from the broken kernel.
+        float_path = [i for i in report.issues if "float-path similarity differs from the kernel's" in i]
+        assert eng._matrix.floats is not None and eng._matrix.bounded
+        assert skip and float_path and sorted(skip + float_path) == sorted(report.issues), report.issues
         assert report.checks["mass_conservation"] and report.checks["synopsis_alpha_compliance"]
 
     def test_weight_probe_takes_the_routers_path(self, rng, monkeypatch):
-        # The probes score a rebuilt matrix, with its sums and flag, as allocate scores the engine's;
-        # the zero vector is guarded.
+        # The probes score a rebuilt matrix on the kernel, with its sums and flag, as allocate scores
+        # the engine's there; the zero vector is guarded. The float path's cross-check calls no kernel.
         eng = self._run_engine(rng)
         real_dissim = synalloc.similarity._dissim_rows
         paths = []
@@ -550,6 +553,28 @@ class TestAudit:
         monkeypatch.setattr(synalloc.similarity, "_dissim_rows", dissim)
         assert eng._matrix.bounded and eng.audit().ok
         assert paths == [(True, True, True)] * eng.config.n_partitions + [(False, True, True)]
+
+    @pytest.mark.parametrize("corrupt", ["rows", "sums"])
+    def test_holds_the_float_path_to_the_kernel(self, rng, corrupt):
+        # Only the live matrix's Python lists change: its arrays, and so the kernel, stay right.
+        eng = self._run_engine(rng)
+        assert _takes_float_path(eng._matrix, eng.config.outlier_k)
+        assert eng.audit().ok
+        rows, sums = eng._matrix.floats
+        lo, hi = eng._matrix.offsets[1:3].tolist()
+        if corrupt == "rows":
+            rows = rows[:lo] + [[1.5 * v for v in r] for r in rows[lo:hi]] + rows[hi:]
+        else:
+            sums = sums[:lo] + [2.0 * v for v in sums[lo:hi]] + sums[hi:]
+        eng._matrix.floats = rows, sums
+        report = eng.audit()
+        assert not report.checks["weight_convexity"]
+        assert report.checks["mass_conservation"] and report.checks["synopsis_alpha_compliance"]
+        assert report.checks["cf_consistency"]
+        assert report.issues and all(i.startswith("partition 2: float-path similarity differs from the kernel's for ")
+                                     for i in report.issues), report.issues
+        assert "partition 2: float-path similarity differs from the kernel's for partition 2's first centroid" \
+            in report.issues
 
     def test_reports_a_negative_published_centroid(self, rng):
         # The router no longer checks centroid signs per call; the audit does.
@@ -902,21 +927,28 @@ class TestFusedScoring:
             assert_same_score(got, w)
 
 
+@pytest.mark.parametrize("k", [1.2, 3.0])
 class TestScoresOnRead:
-    """allocate() returns its scores unbuilt; they are built on the first read."""
+    """allocate() returns its scores unbuilt; they are built on the first read.
+
+    At k = 1.2 the outlier rule runs on the kernel; at k = 3.0 its 7 rows x 3
+    components take the float path.
+    """
 
     @staticmethod
-    def _engine():
+    def _engine(k):
         # Partitions 1-2 publish three alpha-dominant clusters each; partition 3
         # publishes its 1-row root fallback. Every insert refreshes its partition.
         centers = np.array([[1.0, 1.0, 1.0], [6.0, 6.0, 6.0], [12.0, 2.0, 5.0]])
         scattered = np.array([[0.0, 9.0, 3.0], [20.0, 1.0, 8.0], [4.0, 30.0, 0.0]])
         initial = [np.repeat(centers + 10 * i, 4, axis=0) for i in range(2)] + [scattered]
-        cfg = EngineConfig(n_partitions=3, dimension=3, alpha=3, threshold=0.5, outlier_k=1.2)
-        return AllocationEngine(cfg, initial)
+        cfg = EngineConfig(n_partitions=3, dimension=3, alpha=3, threshold=0.5, outlier_k=k)
+        eng = AllocationEngine(cfg, initial)
+        assert _takes_float_path(eng._matrix, k) is (k == 3.0)
+        return eng
 
-    def test_late_reads_are_the_scores_as_of_the_call(self):
-        eng = self._engine()
+    def test_late_reads_are_the_scores_as_of_the_call(self, k):
+        eng = self._engine(k)
         cfg = eng.config
         x = np.array([2.0, 5.0, 3.0])
         chosen, scores = eng.allocate(x)
@@ -949,17 +981,18 @@ class TestScoresOnRead:
         with pytest.raises(IndexError):
             scores[3]
 
-    def test_scores_compare_by_value(self):
+    def test_scores_compare_by_value(self, k):
         # The generated __eq__ compared the weight arrays with ==, whose truth value raises.
         rows = np.repeat([[1.0, 1.0, 1.0], [6.0, 6.0, 6.0]], 4, axis=0)
-        eng = AllocationEngine(EngineConfig(n_partitions=3, dimension=3, alpha=3, threshold=0.5), [rows] * 3)
+        cfg = EngineConfig(n_partitions=3, dimension=3, alpha=3, threshold=0.5, outlier_k=k)
+        eng = AllocationEngine(cfg, [rows] * 3)
         scores = eng.allocate([2.0, 5.0, 3.0])[1]
         assert scores[0] == scores[2] and scores[0] is not scores[2]
         assert scores.index(scores[2]) == 0
         assert scores[2] in scores
         assert scores.count(scores[0]) == 3
 
-    def test_nothing_is_built_until_read(self, monkeypatch):
+    def test_nothing_is_built_until_read(self, monkeypatch, k):
         built = []
 
         class CountingScore(synalloc.similarity.EnsembleScore):
@@ -968,7 +1001,7 @@ class TestScoresOnRead:
                 built.append(self)
 
         monkeypatch.setattr(synalloc.similarity, "EnsembleScore", CountingScore)
-        eng = self._engine()
+        eng = self._engine(k)
         chosen, scores = eng.allocate([2.0, 5.0, 3.0])
         assert built == []
         top = scores[chosen - 1]

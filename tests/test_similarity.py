@@ -1,7 +1,9 @@
 """Dissimilarity metrics, outlier-aware weights, and the fused similarity."""
 
 import dataclasses
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,9 +22,11 @@ from synalloc import (
     opinion_pool,
     sorensen_dissim,
 )
+import synalloc.similarity
 from synalloc.similarity import (
     DEFAULT_OUTLIER_K,
     DEFAULT_THETA,
+    FLOAT_PATH_MAX,
     METRICS,
     SUM_BOUND,
     RoutingMatrix,
@@ -30,6 +34,7 @@ from synalloc.similarity import (
     _dissim_rows,
     _outlier_rule,
     _pool,
+    _score_kernel,
     score_segments,
 )
 
@@ -295,6 +300,131 @@ class TestRoutingMatrix:
             for name in ("centroids", "offsets", "sums"):
                 assert getattr(matrix, name).tobytes() == getattr(fresh, name).tobytes()
             assert matrix.bounded is fresh.bounded is bounded
+
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_stacks_integer_rows_as_float64(self, dtype):
+        # 2^62 + 2^62 wraps to -2^63 in int64, and 2^63 + 2^63 to 0 in uint64.
+        rows = np.array([[2**62, 2**62], [3, 1]] if dtype is np.int64 else [[2**63, 2**63], [3, 1]], dtype=dtype)
+        matrix, cast = RoutingMatrix([rows]), RoutingMatrix([rows.astype(np.float64)])
+        assert matrix.centroids.dtype == np.float64
+        for name in ("centroids", "sums"):
+            assert getattr(matrix, name).tobytes() == getattr(cast, name).tobytes()
+        assert matrix.bounded is cast.bounded is True
+        assert matrix.floats == cast.floats and all(type(v) is float for row in matrix.floats[0] for v in row)
+
+
+# ---------------------------------------------------------------- float path
+
+K_AROUND_SQRT6 = [1.2, float(np.nextafter(math.sqrt(6.0), 0.0)), math.sqrt(6.0),
+                  float(np.nextafter(math.sqrt(6.0), np.inf)), 3.0]
+NEAR_SUM_BOUND = [SUM_BOUND / 2, float(np.nextafter(SUM_BOUND, 0.0)), SUM_BOUND, float(np.nextafter(SUM_BOUND, np.inf))]
+
+
+@st.composite
+def float_path_cases(draw):
+    """x and segmented rows on both sides of every bound of the float path's dispatch.
+
+    M is drawn on both sides of 8, and rows x M on both sides of FLOAT_PATH_MAX, with the
+    last row count that fits and the first that does not drawn often. Components span
+    1e-3 to 1e3; x may hold zeros of either sign or subnormals, a row may copy x, be all
+    zero or hold subnormals, and x or a row may sum to near SUM_BOUND. One segment may
+    be patched afterwards, at its row count.
+    """
+    m = draw(st.sampled_from([1, 2, 3, 5, 7, 8, 9]))
+    fits = max(FLOAT_PATH_MAX // m, 1)
+    n_rows = draw(st.one_of(st.integers(1, fits + 2), st.sampled_from([fits, fits + 1])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-3, 3, m)
+
+    def rows_like(n):
+        rows = rng.uniform(0, 1, (n, m)) * scale * 10.0 ** rng.uniform(-1, 1, (n, 1))
+        if draw(st.booleans()):  # copies and near-copies of x: J and S near 0, K clipped at 0
+            near = rng.random(n) < 0.5
+            rows[near] = x * (1.0 + rng.uniform(-1e-12, 1e-12, (int(near.sum()), m)) * rng.integers(0, 2, (1, m)))
+        if draw(st.booleans()):
+            rows[rng.random((n, m)) < 0.3] = 5e-324 * rng.integers(1, 1000)
+        if draw(st.booleans()):  # a zero row fails the bound
+            rows[rng.integers(n)] = 0.0
+        if draw(st.booleans()):
+            rows[rng.integers(n), 0] = draw(st.sampled_from(NEAR_SUM_BOUND))
+        return rows
+
+    x = rng.uniform(0, 1, m) * scale
+    kind = draw(st.sampled_from(["plain", "zeros", "subnormal", "all_zero", "near_bound"]))
+    if kind == "zeros":
+        zero = rng.random(m) < 0.5
+        x[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    elif kind == "subnormal":
+        x[rng.random(m) < 0.5] = 5e-324 * rng.integers(1, 1000)
+    elif kind == "all_zero":
+        x[:] = 0.0
+    elif kind == "near_bound":
+        x[0] = draw(st.sampled_from(NEAR_SUM_BOUND))
+    rows = rows_like(n_rows)
+    cuts = sorted(rng.choice(np.arange(1, n_rows), size=int(rng.integers(0, n_rows)), replace=False).tolist())
+    blocks = np.split(rows, cuts)
+    patch = None
+    if draw(st.booleans()):
+        s = int(rng.integers(len(blocks)))
+        patch = s, rows_like(len(blocks[s]))
+    return x, blocks, patch, draw(st.floats(0.01, 0.3)), draw(st.sampled_from(K_AROUND_SQRT6))
+
+
+def score_bits(scores):
+    """Every number of every EnsembleScore in ``scores``, as bytes."""
+    return [np.array([s.pooled_dissimilarity, s.similarity, *(o.dissimilarity for o in s.per_metric),
+                      *s.weights.weights, s.weights.theta]).tobytes() for s in scores]
+
+
+class TestFloatPath:
+    @given(float_path_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_kernel_bit_for_bit_where_the_dispatch_admits_it(self, case):
+        x, blocks, patch, theta, k = case
+        matrix = RoutingMatrix(blocks)
+        if patch is not None:  # the lists must follow the patched rows
+            s, rows = patch
+            assert matrix.patch(s, rows)
+            blocks[s] = rows
+        rows = np.concatenate(blocks)
+        sums, m = rows.sum(axis=1), rows.shape[1]
+        with np.errstate(all="ignore"):
+            sx = float(x.sum())
+        takes = bool(m < 8 and rows.size <= FLOAT_PATH_MAX and k * k >= 2 * len(METRICS)
+                     and (sums > 0.0).all() and (sums <= SUM_BOUND).all() and 0.0 < sx <= SUM_BOUND)
+
+        real = synalloc.similarity._dissim_rows
+        with np.errstate(all="ignore"), mock.patch.object(synalloc.similarity, "_dissim_rows", wraps=real) as kernel:
+            got = score_segments(x, matrix, theta, k)
+            assert kernel.called is not takes
+            want = _score_kernel(x, RoutingMatrix(blocks), theta, k)
+
+        assert_same_bits(got.similarities, want.similarities)
+        assert np.argmax(got.similarities) == np.argmax(want.similarities)
+        assert got.rule_weights is None if want.rule_weights is None else got.rule_weights.tobytes() == want.rule_weights.tobytes()
+        for name in ("dissims", "pooled"):  # built on first read on the float path
+            g, w = getattr(got, name), getattr(want, name)
+            assert_same_bits(g, w)
+            assert g.strides == w.strides
+        assert score_bits(got) == score_bits(want)
+
+    @pytest.mark.parametrize("m", [1, 5, 7, 8])
+    def test_the_lists_are_held_exactly_where_the_dispatch_can_use_them(self, rng, m):
+        fits = FLOAT_PATH_MAX // m
+        for n_rows in (fits, fits + 1):
+            matrix = RoutingMatrix([rng.uniform(0, 1, (n_rows, m))])
+            assert (matrix.floats is not None) is (m < 8 and n_rows * m <= FLOAT_PATH_MAX)
+
+    def test_a_patch_rebinds_the_lists(self, rng):
+        a, b = rng.uniform(0, 1, (2, 5)), rng.uniform(0, 1, (1, 5))
+        matrix = RoutingMatrix([a, b])
+        rows, sums = old = matrix.floats
+        kept = ([r.copy() for r in rows], sums.copy())
+        assert matrix.patch(0, rng.uniform(0, 1, (2, 5)))
+        assert matrix.floats[0] is not rows and matrix.floats[1] is not sums
+        assert old == kept  # the old lists are as they were
+        assert matrix.floats == (matrix.centroids.tolist(), matrix.sums.tolist())
 
 
 def _vector_or_zero(d):
@@ -598,6 +728,20 @@ class TestEnsembleSimilarity:
             ensemble_similarity([1.0, 2.0], syn, k=-1.0)
         with pytest.raises(ConfigError):
             ensemble_similarity([1.0, 2.0], syn, k=float("nan"))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_integer_centroids_score_as_their_float64_cast(self, dtype):
+        # Stacked as int64, 2^62 + 2^62 wrapped to a row sum of -2^63: S read 0.0 and the similarity 0.5.
+        x = [1, 1]
+        for rows in ([[2**62, 2**62]], [[2**63, 2**63], [3, 1]], [[3, 1], [1, 3]]):
+            if dtype is np.int64 and rows[0][0] == 2**63:
+                continue
+            syn, cast = make_synopsis(rows), make_synopsis(rows)
+            syn.centroids = np.array(rows, dtype=dtype)
+            got = ensemble_similarity(x, syn)
+            assert score_bits([got]) == score_bits([ensemble_similarity(x, cast)])
+        got = ensemble_similarity(x, make_synopsis([[2**62, 2**62]]))
+        assert got.per_metric[1].dissimilarity == 1.0 and got.similarity == pytest.approx(1 / 6)
 
     def test_rejects_empty_synopsis(self):
         with pytest.raises(ConfigError):
