@@ -70,6 +70,13 @@ length:
 - ``run`` with 200 vectors and seed clusters of spread 1e308, whose ladder
   of means for 5 partitions leaves the float range: it must exit 1 naming
   the spread, before any draw and with no overflow warning.
+- ``run`` on a custom stream of mean -1000 and std 1, every row of which
+  clamps to all zeros, so that no redraw can end: it must exit 1 naming
+  mu, sigma and the dimension, before any draw of the stream.
+
+A case that runs longer than ``CASE_TIMEOUT_S`` seconds is stopped, and its
+exit code is recorded as ``timeout``, so that a tree that hangs shows as a
+difference rather than stalling the gate.
 
 Every output file, stdout, stderr and the exit code must match byte for
 byte, except that each Python warning record in stderr is compared as
@@ -94,6 +101,8 @@ ROOT = Path(__file__).resolve().parent.parent
 ZERO_ROWS = ["--dataset", str(ROOT / "tests" / "fixtures" / "zero_rows.csv"), "--partitions", "3",
              "--alpha", "3", "--threshold", "12.0"]
 MULTI_CENTROID = ["--partitions", "16", "--alpha", "5", "--threshold", "4.0", "--refresh", "50"]
+# Seconds a case may run before its exit code is recorded as "timeout": some 20 times the slowest case.
+CASE_TIMEOUT_S = 120
 # "path:line: Category: message", then the source line indented by two spaces: only group 1 is kept.
 WARNING_RECORD = re.compile(rb"^[^\n]*:\d+: (\w+Warning: [^\n]*)\n(?:  [^\n]*\n)?", re.MULTILINE)
 
@@ -158,6 +167,7 @@ def cases() -> list[tuple[str, list[str]]]:
         ("init-sigma-1e308", ["--init-sigma", "1e308"]),
         ("init-sigma-1e154", ["--vectors", "200", "--init-sigma", "1e154"]),
         ("init-spread-1e308", ["--vectors", "200", "--init-spread", "1e308"]),
+        ("custom-mu-1000", ["--scenario", "custom", "--mu", "-1000", "--sigma", "1", "--vectors", "5"]),
     ))
     return out
 
@@ -167,10 +177,14 @@ def run_case(src: Path, workdir: Path, args: list[str]) -> dict[str, bytes]:
     workdir.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(src)}
     env.pop("SYNALLOC_DATASET", None)
-    proc = subprocess.run([sys.executable, "-m", "synalloc", *args], cwd=workdir, env=env,
-                          capture_output=True)
-    stderr = WARNING_RECORD.sub(rb"\1\n", proc.stderr)
-    outputs = {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout, "stderr": stderr}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "synalloc", *args], cwd=workdir, env=env,
+                              capture_output=True, timeout=CASE_TIMEOUT_S)
+    except subprocess.TimeoutExpired as exc:  # a hang is an outcome to compare, not a hang of the gate
+        code, stdout, stderr = "timeout", exc.stdout or b"", exc.stderr or b""
+    else:
+        code, stdout, stderr = str(proc.returncode), proc.stdout, proc.stderr
+    outputs = {"exit code": code.encode(), "stdout": stdout, "stderr": WARNING_RECORD.sub(rb"\1\n", stderr)}
     for path in sorted(workdir.iterdir()):
         outputs[path.name] = path.read_bytes()
     return outputs

@@ -20,6 +20,8 @@ from .validation import check_int
 DIMENSION_COLUMNS = ("CO_GT", "NMHC_GT", "C6H6_GT", "NOX_GT", "NO2_GT")
 
 _MISSING_SENTINEL = -200.0
+# Most all-zero rows a synthetic block may expect to redraw: at ~10 us a redraw round, some 10 s.
+MAX_EXPECTED_REDRAWS = 1_000_000
 
 
 @dataclass
@@ -127,7 +129,19 @@ def load_air_quality(path, strict: bool = False) -> Dataset:
 def _gaussian_block(
     rng: np.random.Generator, mu: float, sigma: float, count: int, dim: int
 ) -> np.ndarray:
-    """Clamped-at-zero Gaussian rows; all-zero rows are redrawn."""
+    """Clamped-at-zero Gaussian rows; all-zero rows are redrawn.
+
+    A component clamps to 0 with chance Phi(-mu/sigma), so a row is all zero
+    with chance z = Phi(-mu/sigma)^dim, and ``count`` rows take
+    count * z / (1 - z) redraws on average. A block that would take more
+    than ``MAX_EXPECTED_REDRAWS``, or that no redraw can fill (z = 1), is a
+    ``ConfigError`` before any draw: the test reads the inputs, not the draws.
+    """
+    zero_row = (0.5 * math.erfc(mu / (sigma * math.sqrt(2.0)))) ** dim
+    redraws = count * zero_row / (1.0 - zero_row) if zero_row < 1.0 else math.inf
+    if redraws > MAX_EXPECTED_REDRAWS:
+        raise ConfigError(f"mu {mu:g} and sigma {sigma:g} clamp whole {dim}-D rows to 0 so often that {count} "
+                          f"nonzero rows would take {redraws:.3g} redraws on average, more than {MAX_EXPECTED_REDRAWS}")
     out = np.clip(rng.normal(mu, sigma, size=(count, dim)), 0.0, None)
     while True:
         zero = ~out.any(axis=1)

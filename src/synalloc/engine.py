@@ -23,9 +23,6 @@ from .similarity import (
     RoutingMatrix,
     SegmentScores,
     _check_weight_params,
-    _outlier_rule,
-    _score_kernel,
-    _takes_float_path,
     ensemble_similarity,  # unused here; bench/spans.py patches synalloc.engine.ensemble_similarity
     score_segments,
 )
@@ -246,11 +243,12 @@ class AllocationEngine:
 
         Synopsis compliance includes the refresh schedule: each synopsis's version
         is 1 plus the refreshes that its partition's inserts have made due.
-        The weight probe checks the weights the kernel's outlier rule built; where
-        the kernel skipped the rule, it checks ``_outlier_rule``'s weights and that
-        its pooled values equal the kernel's bit for bit (NaN equal to NaN). Where
-        the router scores its matrix in floats, each probe's similarities from the
-        live matrix's lists must equal the kernel's bit for bit.
+        The routing matrix is held to a fresh build on the published centroids
+        (``RoutingMatrix.differences``), and that build is probed with each
+        partition's first centroid and the zero vector (``RoutingMatrix.probe``):
+        every row's weights and similarity, the outlier-rule skip and, where the
+        engine's matrix is current and sends a probe down the float path, that
+        path's similarities. Each fault is reported once per partition whose rows it hits.
         """
         issues: list[str] = []
         cfg = self.config
@@ -300,53 +298,19 @@ class AllocationEngine:
                            f"partition {pid}: domain error: negative synopsis centroid"]
 
         if stackable:  # else there is no matrix to compare or probe; the shape issues stand for both
-            live, fresh = self._matrix, RoutingMatrix([s.centroids for s in self.synopses])
-            live_ok = True
-            if not (
-                np.array_equal(live.centroids, fresh.centroids)
-                and np.array_equal(live.offsets, fresh.offsets)
-            ):
-                live_ok = alpha_ok = False
-                issues.append("routing matrix differs from the published centroids")
-            if not np.array_equal(live.sums, fresh.sums):
-                live_ok = alpha_ok = False
-                issues.append("routing matrix row sums differ from the published centroids")
-            if live.bounded != fresh.bounded:
-                live_ok = alpha_ok = False
-                issues.append(f"routing matrix fault-free flag is {live.bounded}, "
-                              f"the published row sums give {fresh.bounded}")
+            fresh = RoutingMatrix([s.centroids for s in self.synopses])
+            differences = self._matrix.differences(fresh)
+            if differences:
+                alpha_ok = False
+                issues += differences
             offsets = fresh.offsets
-            seg_rows = np.diff(offsets)
-            row_pid = np.repeat(np.arange(1, len(offsets)), seg_rows)
-            # A first centroid's sum is a row sum, so where the live matrix admits the float path
-            # at all, every such probe takes it.
-            float_path = live_ok and _takes_float_path(live, cfg.outlier_k)
-            # The kernel's arrays, from _dissim_rows and _pool, over the fresh matrix: every row against
-            # each partition's first centroid and, always guarded as its sum is 0, the zero vector.
+            row_pid = np.repeat(np.arange(1, len(offsets)), np.diff(offsets))
+            live = None if differences else self._matrix  # a stale matrix's float path is not scored
+            # Each partition's first centroid and the zero vector, which the kernel scores guarded (sum 0).
             probes = [(f" for partition {pid}'s first centroid", fresh.centroids[lo])
                       for pid, lo in enumerate(offsets[:-1].tolist(), start=1)]
             for name, x in probes + [(" for the zero vector", np.zeros(cfg.dimension))]:
-                scores = _score_kernel(x, fresh, cfg.theta, cfg.outlier_k)
-                w, pooled = scores.rule_weights, scores.pooled
-                skip_differs = np.zeros(len(pooled), dtype=bool)
-                if w is None:  # the router skipped the rule: run it, and hold the skip to it
-                    rule_w, rule_pooled = _outlier_rule(scores.dissims.T, cfg.theta, cfg.outlier_k)
-                    w = rule_w.T
-                    skip_differs = ((rule_pooled.view(np.int64) != pooled.view(np.int64))
-                                    & ~(np.isnan(rule_pooled) & np.isnan(pooled)))
-                float_differs = np.zeros(len(pooled), dtype=bool)
-                if float_path and x.any():  # the router's float path, over the live matrix's lists
-                    routed = score_segments(x, live, cfg.theta, cfg.outlier_k).similarities
-                    float_differs = np.repeat(routed.view(np.int64) != scores.similarities.view(np.int64), seg_rows)
-                sims = 1.0 - pooled
-                faults = {
-                    "non-convex weights": (w < 0).any(axis=1) | (w > 1).any(axis=1)
-                    | (np.abs(w.sum(axis=1) - 1.0) > 1e-12),
-                    "similarity out of range": ~((sims >= 0.0) & (sims <= 1.0)),
-                    "outlier-rule skip pools differently from the rule": skip_differs,
-                    "float-path similarity differs from the kernel's": float_differs,
-                }
-                for fault, rows_hit in faults.items():
+                for fault, rows_hit in fresh.probe(x, live, cfg.theta, cfg.outlier_k).items():
                     for pid in dict.fromkeys(row_pid[rows_hit].tolist()):  # once per partition
                         weights_ok = False
                         issues.append(f"partition {pid}: {fault}{name}")

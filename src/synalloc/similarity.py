@@ -25,6 +25,10 @@ so the same bits. It does so only on the kernel's fault-free path, with the
 outlier rule skipped, M < 8 and rows x M at most ``FLOAT_PATH_MAX``: Python
 floats overflow silently and raise on division by zero, so nothing outside
 that domain may reach them. The matrix holds the lists that path reads.
+
+``RoutingMatrix.differences`` and ``RoutingMatrix.probe`` are the matrix's
+audit, as ``CFTree.consistency_issues`` is the tree's: the engine picks the
+probe vectors and words the issues.
 """
 
 from __future__ import annotations
@@ -137,11 +141,13 @@ def compute_weights(outcomes, theta: float, k: float = DEFAULT_OUTLIER_K) -> Wei
 
 
 def opinion_pool(outcomes, weights: WeightVector) -> float:
-    """Convex combination of outcomes under the given weights."""
+    """Convex combination of outcomes under the given weights, summed left to right as the router pools."""
     o = np.asarray(outcomes, dtype=np.float64)
     if o.size != weights.weights.size:
         raise VectorError("outcome/weight length mismatch")
-    return float(o @ weights.weights)
+    # Left to right, as the router pools (``_pool``): numpy sums 8 terms or more pairwise.
+    # -0.0 is the exact identity of +, so the first term comes back as itself.
+    return functools.reduce(operator.add, (o * weights.weights).tolist(), -0.0)
 
 
 # Fault-free bound on sum(x) and on every centroid row sum; see ``_dissim_rows``.
@@ -211,6 +217,55 @@ class RoutingMatrix:
             old_rows, old_sums = self.floats
             self.floats = old_rows[:lo] + block.tolist() + old_rows[hi:], old_sums[:lo] + patched + old_sums[hi:]
         return True
+
+    def differences(self, fresh: RoutingMatrix) -> list[str]:
+        """How this matrix differs from ``fresh``, a new build on the blocks it should hold.
+
+        Its rows and offsets, its row sums and its fault-free flag are each
+        compared with the fresh build's, one issue for each that differs.
+        """
+        issues = []
+        if not (np.array_equal(self.centroids, fresh.centroids) and np.array_equal(self.offsets, fresh.offsets)):
+            issues.append("routing matrix differs from the published centroids")
+        if not np.array_equal(self.sums, fresh.sums):
+            issues.append("routing matrix row sums differ from the published centroids")
+        if self.bounded != fresh.bounded:
+            issues.append(f"routing matrix fault-free flag is {self.bounded}, "
+                          f"the published row sums give {fresh.bounded}")
+        return issues
+
+    def probe(self, x: np.ndarray, live: RoutingMatrix | None, theta: float, k: float) -> dict[str, np.ndarray]:
+        """Each fault of the router's scores for ``x``, as a mask over the rows of this fresh build.
+
+        The kernel scores ``x`` against every row: weights must be convex and
+        similarities in [0, 1]. Where it skipped the outlier rule, the rule
+        runs on the same outcomes, its weights are checked, and its pooled
+        values must equal the kernel's bit for bit (NaN equal to NaN). Where
+        ``score_segments``' own tests (``_takes_float_path``, ``_score_floats``)
+        send ``x`` down the float path over ``live``, the matrix the router
+        reads, each segment's similarity must equal the kernel's bit for bit,
+        or all its rows fail. Pass None for a ``live`` that ``differences`` faults.
+        """
+        scores = _score_kernel(x, self, theta, k)
+        w, pooled = scores.rule_weights, scores.pooled
+        skip_differs = np.zeros(len(pooled), dtype=bool)
+        if w is None:  # the kernel skipped the rule: run it, and hold the skip to it
+            rule_w, rule_pooled = _outlier_rule(scores.dissims.T, theta, k)
+            w = rule_w.T
+            skip_differs = ((rule_pooled.view(np.int64) != pooled.view(np.int64))
+                            & ~(np.isnan(rule_pooled) & np.isnan(pooled)))
+        float_differs = np.zeros(len(pooled), dtype=bool)
+        routed = _score_floats(x, live, theta) if live is not None and _takes_float_path(live, k) else None
+        if routed is not None:
+            differs = routed.similarities.view(np.int64) != scores.similarities.view(np.int64)
+            float_differs = np.repeat(differs, np.diff(self.offsets))
+        sims = 1.0 - pooled
+        return {
+            "non-convex weights": (w < 0).any(axis=1) | (w > 1).any(axis=1) | (np.abs(w.sum(axis=1) - 1.0) > 1e-12),
+            "similarity out of range": ~((sims >= 0.0) & (sims <= 1.0)),
+            "outlier-rule skip pools differently from the rule": skip_differs,
+            "float-path similarity differs from the kernel's": float_differs,
+        }
 
 
 def _dissim_rows(x: np.ndarray, matrix: RoutingMatrix) -> np.ndarray:
@@ -432,17 +487,22 @@ def _takes_float_path(matrix: RoutingMatrix, k: float) -> bool:
     return matrix.floats is not None and matrix.bounded and _rule_skipped(len(METRICS), k)
 
 
-def _score_floats(x: list[float], sx: float, matrix: RoutingMatrix, theta: float) -> SegmentScores:
+def _score_floats(xv: np.ndarray, matrix: RoutingMatrix, theta: float) -> SegmentScores | None:
     """``score_segments`` in plain Python floats, bit for bit: the kernel's arithmetic in its order.
 
-    Only for what ``_takes_float_path`` admits and 0 < sum(x) <= SUM_BOUND,
-    the kernel's unguarded path: no division by zero, no overflow, no NaN.
+    Only for what ``_takes_float_path`` admits. It returns None, before any
+    scoring, unless 0 < sum(x) <= SUM_BOUND: with the matrix's flag, that is
+    the kernel's unguarded path, with no division by zero, overflow or NaN.
     Each sum of fewer than 8 terms runs left to right, as numpy adds them.
     c - x and x - c differ only in sign, so |c - x| and min(c, x) come from
     one comparison. J and S are non-negative and K is at most 1, exactly, so
     each needs only its other clip. Pooling is ((J/3 + S/3) + K/3), as
     ``_pool`` sums its leading axis; a segment's similarity is its best row's.
     """
+    x = xv.tolist()
+    sx = functools.reduce(operator.add, x, 0.0)  # left to right; sum() compensates from Python 3.12
+    if not 0.0 < sx <= SUM_BOUND:
+        return None
     third = 1.0 / len(METRICS)
     outcomes, pooled, sims = [], [], []
     for c, sc in zip(*matrix.floats):
@@ -494,11 +554,8 @@ def score_segments(
     and rows x M is at most ``FLOAT_PATH_MAX``. It gives the kernel's
     values bit for bit. Everything else takes the kernel.
     """
-    if _takes_float_path(matrix, k):
-        x = xv.tolist()
-        sx = functools.reduce(operator.add, x, 0.0)  # left to right; sum() compensates from Python 3.12
-        if 0.0 < sx <= SUM_BOUND:
-            return _score_floats(x, sx, matrix, theta)
+    if _takes_float_path(matrix, k) and (scores := _score_floats(xv, matrix, theta)) is not None:
+        return scores
     return _score_kernel(xv, matrix, theta, k)
 
 

@@ -1,11 +1,16 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from synalloc import harness
 from synalloc.cli import DATASET_ENV, EXIT_CONFIG, EXIT_DATA, EXIT_INVARIANT, EXIT_OK, main
+
+from conftest import ROOT
 
 FAST = [
     "--vectors", "200",
@@ -186,6 +191,19 @@ class TestExitCodes:
                        "--vectors", "50")
         assert code == EXIT_CONFIG
         assert f"{name} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "custom", "--mu", "-1000", "--sigma", "1", "--vectors", "5"],
+        ["validate", "--mu", "-1000"],
+    ])
+    def test_a_stream_of_all_zero_rows_is_a_config_error(self, argv):
+        """Every row clamps to 0, so no redraw can end: refused, not looped on. In a subprocess, so that a hang fails."""
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        env.pop(DATASET_ENV, None)
+        proc = subprocess.run([sys.executable, "-m", "synalloc", *argv], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("error: mu -1000 and sigma ") and " 5-D rows " in proc.stderr
 
     def test_missing_dataset_is_data_error(self, capsys):
         assert run_cli("run", "--dataset", "/does/not/exist.csv", *FAST) == EXIT_DATA

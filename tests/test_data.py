@@ -19,7 +19,7 @@ from synalloc import (
     synth_stream,
     synthetic_partitions,
 )
-from synalloc.data import DIMENSION_COLUMNS
+from synalloc.data import DIMENSION_COLUMNS, _gaussian_block
 
 
 # Random bytes almost never name the five columns, so most examples are a valid
@@ -165,6 +165,18 @@ class TestSynthStream:
         out = synth_stream(ScenarioSpec(-20.0, 10.0, 300, seed=7), dim=2)
         assert out.shape == (300, 2)
         assert out.any(axis=1).all()
+
+    def test_a_stream_that_clamps_nearly_every_row_is_refused_before_any_draw(self):
+        # At mu -2 and sigma 1 a 5-D row is all zero with chance 0.891: each nonzero row takes ~8.2 redraws.
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match=r"^mu -2 and sigma 1 clamp whole 5-D rows .* 200000 nonzero rows "
+                                              r"would take 1\.64e\+06 redraws on average"):
+            _gaussian_block(rng, -2.0, 1.0, 200_000, 5)
+        assert rng.bit_generator.state == state  # decided on the inputs alone
+        assert _gaussian_block(rng, -2.0, 1.0, 100_000, 5).any(axis=1).all()  # 8.2e5 redraws: drawn
+        with pytest.raises(ConfigError, match=r"^mu -1000 and sigma 1 .* would take inf redraws"):
+            synth_stream(ScenarioSpec(-1000.0, 1.0, 1, seed=1), dim=5)
 
     def test_deterministic_per_seed(self):
         a = synth_stream(ScenarioSpec(25.0, 10.0, 100, seed=11), dim=3)

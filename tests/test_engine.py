@@ -1,5 +1,6 @@
 """Allocation engine: routing, ingestion, refresh policy, and audits."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -23,7 +24,7 @@ from synalloc.similarity import SUM_BOUND, RoutingMatrix, _takes_float_path
 import synalloc.engine
 import synalloc.similarity
 
-from conftest import load_bench, make_synopsis, tree_state
+from conftest import ROOT, load_bench, make_synopsis, tree_state
 
 oracle = load_bench("oracle")
 
@@ -499,7 +500,7 @@ class TestAudit:
                 w, pooled = real_rule(t, theta, k)
                 return np.where((t == 1.0).all(axis=0), 2.0 * w, w), pooled
 
-            monkeypatch.setattr(synalloc.engine, "_outlier_rule", rule)  # at k = 3 the router skips the rule
+            monkeypatch.setattr(synalloc.similarity, "_outlier_rule", rule)  # at k = 3 the router skips the rule
             want = "non-convex weights"
         else:
             target = eng.synopses[1].centroids[0]
@@ -693,6 +694,14 @@ class TestAudit:
             assert failed == list(range(refresh, 2 * refresh + 2))
         else:  # behind on each insert that falls due, caught up on the next
             assert failed == [n for n in range(1, 2 * refresh + 2) if n % refresh == 0]
+
+    def test_the_engine_leaves_the_scorers_rules_to_similarity(self):
+        """The audit checks the routing matrix through its own methods: the engine restates no scoring rule."""
+        tree = ast.parse((ROOT / "src" / "synalloc" / "engine.py").read_text())
+        private = {alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "similarity"
+                   for alias in node.names if alias.name.startswith("_")}
+        assert private == {"_check_weight_params"}
 
 
 # ------------------------------------------------------- fused scoring

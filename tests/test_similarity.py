@@ -1,7 +1,9 @@
 """Dissimilarity metrics, outlier-aware weights, and the fused similarity."""
 
 import dataclasses
+import functools
 import math
+import operator
 import warnings
 from unittest import mock
 
@@ -450,6 +452,19 @@ class TestPublicApiMatchesOracle:
         pooled = opinion_pool(want, compute_weights(want, theta, k))
         assert pooled == pytest.approx(oracle.pooled(want, theta, k), abs=1e-12)
 
+    @given(
+        pair=st.integers(1, 9).flatmap(lambda d: st.tuples(_vector_or_zero(d), _vector_or_zero(d))),
+        theta=st.floats(0.01, 0.3),
+        k=st.sampled_from([1.0, 1.35, 3.0]),  # the rule can fire, fires rarely, is skipped
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_opinion_pool_is_the_routers_pool(self, pair, theta, k):
+        x, c = pair
+        outcomes = [o.dissimilarity for o in all_dissims(x, c)]
+        pooled = opinion_pool(outcomes, compute_weights(outcomes, theta, k))
+        routed = ensemble_similarity(x, make_synopsis(c), theta, k).pooled_dissimilarity
+        assert np.float64(pooled).tobytes() == np.float64(routed).tobytes(), (pooled, routed)
+
 
 # ---------------------------------------------------------------- weights
 
@@ -519,6 +534,13 @@ class TestWeights:
         assert score == ensemble_similarity(x, syn, 0.1)
         other = dataclasses.replace(score, weights=WeightVector(np.array([0.1, 0.45, 0.45]), 0.1))
         assert score != other and [score].count(other) == 0 and other not in [score]
+
+    def test_pool_sums_left_to_right_from_eight_outcomes_on(self):
+        # numpy sums these nine products pairwise to 0.5585; left to right they come to 0.5584999999999999.
+        outcomes = [0.64, 0.27, 0.04, 0.02, 0.81, 0.91, 0.61, 0.73, 0.54]
+        wv = compute_weights(outcomes, theta=0.05, k=1.0)
+        products = (np.array(outcomes) * wv.weights).tolist()
+        assert opinion_pool(outcomes, wv) == functools.reduce(operator.add, products) != float(np.add.reduce(products))
 
     def test_pool_length_mismatch(self):
         wv = WeightVector(np.array([0.5, 0.5]), theta=0.1)
