@@ -26,7 +26,7 @@ from .similarity import (
     ensemble_similarity,  # unused here; bench/spans.py patches synalloc.engine.ensemble_similarity
     score_segments,
 )
-from .synopsis import CFTree, Synopsis, _check_tree_params, extract_synopsis
+from .synopsis import NEGATIVE_CENTROID, CFTree, Synopsis, _check_tree_params, extract_synopsis
 from .validation import as_vector, check_int
 
 # Data-scaled leaf threshold: this fraction of the RMS per-dimension std of
@@ -241,8 +241,12 @@ class AllocationEngine:
     def audit(self) -> AuditReport:
         """Report-only pass over the module invariants.
 
-        Synopsis compliance includes the refresh schedule: each synopsis's version
-        is 1 plus the refreshes that its partition's inserts have made due.
+        Each synopsis checks itself (``Synopsis.consistency_issues``: the alpha rule,
+        its columns' shapes, centroid drift and signs), as each tree does. To that,
+        synopsis compliance adds what only the engine knows: the refresh schedule (each
+        version is 1 plus the refreshes that its partition's inserts have made due) and
+        that the synopsis names the partition that publishes it. A negative centroid is
+        also outside the router's domain, so it fails weight convexity too.
         The routing matrix is held to a fresh build on the published centroids
         (``RoutingMatrix.differences``), and that build is probed with each
         partition's first centroid and the zero vector (``RoutingMatrix.probe``):
@@ -269,33 +273,18 @@ class AllocationEngine:
         for pid, p in numbered:
             syn = p.current_synopsis
             due = 1 + (p.tree.total_points - p.initial_count) // cfg.refresh_interval
+            found = []
             if syn.version != due:  # a publish skipped, or made off its insert
-                alpha_ok = False
-                issues.append(f"partition {pid}: synopsis version {syn.version}, the refresh schedule gives {due}")
-            counts, rows = syn.counts, syn.counts.size
-            if (counts < cfg.alpha).any() and rows != 1:
-                alpha_ok = False
-                issues.append(f"partition {pid}: sub-alpha CF in synopsis")
-            if syn.centroids.shape != (rows, cfg.dimension) or not rows:
-                alpha_ok = False
-                stackable &= syn.centroids.shape[1:] == (cfg.dimension,) and len(syn.centroids) > 0
-                issues.append(f"partition {pid}: centroid array of shape {syn.centroids.shape} "
-                              f"for {rows} dominant CFs of dimension {cfg.dimension}")
-            elif counts.shape != (rows,) or syn.linear_sums.shape != syn.centroids.shape:
-                alpha_ok = False
-                issues.append(f"partition {pid}: counts of shape {counts.shape} and linear sums of shape "
-                              f"{syn.linear_sums.shape} for a centroid array of shape {syn.centroids.shape}")
-            else:
-                with np.errstate(divide="ignore", invalid="ignore"):  # a count of 0 drifts
-                    want = syn.linear_sums / counts[:, None]
-                drifted = ~np.isclose(syn.centroids, want, rtol=1e-12, atol=1e-12).all(axis=1)
-                if drifted.any():
-                    alpha_ok = False
-                    issues += [f"partition {pid}: stored centroid drifted"] * int(drifted.sum())
-            if (syn.centroids < 0).any():  # the router scores centroids unchecked: outside the metrics' domain
-                alpha_ok = weights_ok = False
-                issues += [f"partition {pid}: negative published centroid",
-                           f"partition {pid}: domain error: negative synopsis centroid"]
+                found.append(f"synopsis version {syn.version}, the refresh schedule gives {due}")
+            if syn.partition_id != pid:
+                found.append(f"synopsis names partition {syn.partition_id}")
+            found += syn.consistency_issues(cfg.alpha, cfg.dimension)
+            alpha_ok &= not found
+            issues += [f"partition {pid}: {issue}" for issue in found]
+            stackable &= syn.centroids.shape[1:] == (cfg.dimension,) and len(syn.centroids) > 0
+            if NEGATIVE_CENTROID in found:  # the router scores centroids unchecked: outside the metrics' domain
+                weights_ok = False
+                issues.append(f"partition {pid}: domain error: negative synopsis centroid")
 
         if stackable:  # else there is no matrix to compare or probe; the shape issues stand for both
             fresh = RoutingMatrix([s.centroids for s in self.synopses])

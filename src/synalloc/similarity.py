@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigError, VectorError
 from .synopsis import Synopsis
-from .validation import as_vector
+from .validation import _REAL_KINDS, as_vector
 
 
 class Metric(str, enum.Enum):
@@ -579,12 +579,15 @@ def ensemble_similarity(
     centroid with the highest similarity wins (ties go to the first row).
     Inputs must be finite and non-negative; this is the entry point for
     synopses built outside the engine, so it checks theta/k and the centroid
-    array.
+    array: its shape, then, before any cast, that its dtype is a real number
+    kind (as ``as_vector`` does for vectors), then its values.
     """
     if syn.centroids.ndim != 2 or not len(syn.centroids):
         raise ConfigError(f"synopsis centroid array of shape {syn.centroids.shape}: need one row or more")
     xv = as_vector(x, dim=syn.centroids.shape[1], nonneg=True)
     _check_weight_params(theta, k)
+    if syn.centroids.dtype.kind not in _REAL_KINDS:
+        raise VectorError(f"malformed input: {syn.centroids.dtype} synopsis centroids are not real numbers")
     if not np.isfinite(syn.centroids).all():
         raise VectorError("malformed input: non-finite synopsis centroid")
     if (syn.centroids < 0).any():

@@ -22,6 +22,8 @@ from .validation import as_vector, check_int
 CF_SUM_RTOL = 1e-9
 # Rows the audit's centroid-cache check compares per numpy call: its temporaries stay this size.
 AUDIT_BATCH_ROWS = 1024
+# Synopsis.consistency_issues' text for a centroid below 0, which the router also reads as a domain error.
+NEGATIVE_CENTROID = "negative published centroid"
 
 
 @dataclass
@@ -102,8 +104,10 @@ class Synopsis:
     tree, so later inserts leave a published synopsis as it was.
 
     ``dominant`` gives the rows as ``ClusterFeature``s; the square sums are
-    kept so that it returns whole CFs. Routing and the audit read only the
-    counts, linear sums and centroids.
+    kept so that it returns whole CFs. Routing reads only the centroids.
+    The synopsis checks its own columns (``consistency_issues``), as the tree
+    and the routing matrix check themselves, so the engine reads a synopsis
+    only for its centroids, version and partition id.
     """
 
     partition_id: int
@@ -118,6 +122,37 @@ class Synopsis:
         """The rows as ``ClusterFeature``s, built anew on each read."""
         return [ClusterFeature(n, ls, ss) for n, ls, ss in
                 zip(self.counts.tolist(), self.linear_sums.copy(), self.square_sums.copy())]
+
+    def consistency_issues(self, alpha: int, dimension: int) -> list[str]:
+        """The synopsis's own faults against ``alpha`` and ``dimension``, as human-readable texts (empty = healthy).
+
+        A count below alpha is allowed only in a one-row synopsis, the root
+        fallback. The centroid array must be (rows, dimension) with a row or
+        more; then the counts must be 1-D with one entry per row, the linear
+        sums shaped like the centroids, and then the square sums too: the
+        first shape fault is reported, and only a synopsis whose columns all
+        fit has each stored centroid checked against its linear sum over its
+        count. A negative centroid is reported last, as ``NEGATIVE_CENTROID``.
+        """
+        issues: list[str] = []
+        counts, centroids, rows = self.counts, self.centroids, self.counts.size
+        if (counts < alpha).any() and rows != 1:
+            issues.append("sub-alpha CF in synopsis")
+        if centroids.shape != (rows, dimension) or not rows:
+            issues.append(f"centroid array of shape {centroids.shape} for {rows} dominant CFs of dimension {dimension}")
+        elif counts.shape != (rows,) or self.linear_sums.shape != centroids.shape:
+            issues.append(f"counts of shape {counts.shape} and linear sums of shape {self.linear_sums.shape} "
+                          f"for a centroid array of shape {centroids.shape}")
+        elif self.square_sums.shape != centroids.shape:  # dominant would zip the rows short
+            issues.append(f"square sums of shape {self.square_sums.shape} for a centroid array of shape {centroids.shape}")
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):  # a count of 0 drifts
+                want = self.linear_sums / counts[:, None]
+            drifted = ~np.isclose(centroids, want, rtol=1e-12, atol=1e-12).all(axis=1)
+            issues += ["stored centroid drifted"] * int(drifted.sum())
+        if (centroids < 0).any():
+            issues.append(NEGATIVE_CENTROID)
+        return issues
 
 
 class CFTree:

@@ -15,11 +15,14 @@ _REAL_KINDS = frozenset("biuf")
 
 
 def check_int(value, name: str, minimum: int) -> None:
-    """Raise ConfigError unless ``value`` is an integer >= ``minimum``: numpy integers pass, 2.0 fails."""
+    """Raise ConfigError unless ``value`` is an integer >= ``minimum``: numpy integers pass; 2.0 and
+    booleans fail (``operator.index`` takes Python's ``True`` as 1, numpy's ``np.True_`` not at all)."""
     try:
         n = operator.index(value)
     except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        n = None
+    if n is None or isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     if n < minimum:
         raise ConfigError(f"{name} must be >= {minimum}")
 

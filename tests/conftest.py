@@ -8,6 +8,7 @@ from synalloc import ClusterFeature, Synopsis
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = ROOT / "bench"
+SCRIPTS_DIR = ROOT / "scripts"
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -21,12 +22,21 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
-def load_bench(name: str):
-    """The module ``bench/<name>.py``, loaded by file path so that ``bench/`` never goes on ``sys.path``."""
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
+def _load_by_path(path: Path, module_name: str):
+    spec = importlib.util.spec_from_file_location(module_name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_bench(name: str):
+    """The module ``bench/<name>.py``, loaded by file path so that ``bench/`` never goes on ``sys.path``."""
+    return _load_by_path(BENCH_DIR / f"{name}.py", f"bench_{name}")
+
+
+def load_script(name: str):
+    """The script ``scripts/<name>.py``, loaded by file path as ``load_bench`` loads a bench module."""
+    return _load_by_path(SCRIPTS_DIR / f"{name}.py", f"script_{name}")
 
 
 def cf_of(points) -> ClusterFeature:

@@ -137,7 +137,7 @@ class TestScenarioSpec:
         with pytest.raises(ConfigError, match=f"^{name} must be"):
             ScenarioSpec(mu=mu, sigma=sigma, count=10, seed=1)
 
-    @pytest.mark.parametrize("count", [2.0, 2.5, "2"])
+    @pytest.mark.parametrize("count", [2.0, 2.5, "2", True])
     def test_rejects_a_non_integer_count(self, count):
         with pytest.raises(ConfigError, match="^count must be an integer"):
             ScenarioSpec(mu=25.0, sigma=10.0, count=count, seed=1)
@@ -191,7 +191,7 @@ class TestSynthStream:
         assert out.mean() == pytest.approx(100.0, abs=0.5)
         assert out.std() == pytest.approx(5.0, abs=0.3)
 
-    @pytest.mark.parametrize("dim", [2.0, 2.5, "2"])
+    @pytest.mark.parametrize("dim", [2.0, 2.5, "2", True])
     def test_rejects_a_non_integer_dimension(self, dim):
         with pytest.raises(ConfigError, match="^dimension must be an integer"):
             synth_stream(ScenarioSpec(25.0, 10.0, 4, seed=1), dim)
@@ -253,7 +253,7 @@ class TestRandomSplit:
         with pytest.raises(ConfigError):
             random_split(ds, 10, seed=1)
 
-    @pytest.mark.parametrize("n", [2.0, 2.5, "2"])
+    @pytest.mark.parametrize("n", [2.0, 2.5, "2", True])
     def test_rejects_a_non_integer_partition_count(self, n):
         from synalloc import Dataset
 
@@ -337,7 +337,7 @@ class TestSyntheticInit:
                 SyntheticInit(spread=spread)
         assert SyntheticInit(spread=0.0).spread == 0.0
 
-    @pytest.mark.parametrize("per_partition", [2.0, 2.5, "2"])
+    @pytest.mark.parametrize("per_partition", [2.0, 2.5, "2", True])
     def test_rejects_a_non_integer_per_partition(self, per_partition):
         with pytest.raises(ConfigError, match="^per_partition must be an integer"):
             SyntheticInit(per_partition=per_partition)
@@ -349,7 +349,7 @@ class TestSyntheticInit:
         parts = synthetic_partitions(SyntheticInit(per_partition=np.int64(1)), spec, n=2, dim=3, seed=8)  # the minimum
         assert [p.shape for p in parts] == [(1, 3), (1, 3)]
 
-    @pytest.mark.parametrize("field,value", [("n", 2.5), ("n", 2.0), ("dim", 2.5), ("dim", "5")])
+    @pytest.mark.parametrize("field,value", [("n", 2.5), ("n", 2.0), ("n", True), ("dim", 2.5), ("dim", "5"), ("dim", True)])
     def test_rejects_non_integer_counts(self, field, value):
         spec = ScenarioSpec(25.0, 10.0, 100, seed=1)
         name = {"n": "n_partitions", "dim": "dimension"}[field]

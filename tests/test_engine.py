@@ -75,7 +75,7 @@ class TestEngineConfig:
             EngineConfig(**kwargs)
 
     @pytest.mark.parametrize("field", ["n_partitions", "dimension", "alpha", "branching_factor", "refresh_interval"])
-    @pytest.mark.parametrize("value", [2.0, 2.5, "2", None])
+    @pytest.mark.parametrize("value", [2.0, 2.5, "2", None, True, np.True_])
     def test_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
             EngineConfig(**{field: value})
@@ -619,6 +619,23 @@ class TestAudit:
         if fault in ("rows_cut", "linear_sums_wrong_dimension", "counts_rows_cut"):
             assert report.checks["weight_convexity"]  # the centroid rows still stack and are probed
 
+    @pytest.mark.parametrize("fault", ["partition_id", "square_sums_cut"])
+    def test_reports_a_synopsis_fault_the_router_cannot_see(self, rng, fault):
+        # Routing reads only the centroids, so each fault passes it; the audit must name it.
+        initial = [rng.uniform(0, 10, size=(30, 2)) + 10 * i for i in range(2)]
+        eng = AllocationEngine(EngineConfig(n_partitions=2, dimension=2, alpha=10), initial)
+        if fault == "partition_id":
+            eng._publish(1, make_synopsis([[3.0, 4.0], [5.0, 5.0]], partition_id=2))
+            want = "partition 1: synopsis names partition 2"
+        else:
+            syn = make_synopsis([[3.0, 4.0], [5.0, 5.0]])
+            syn.square_sums = syn.square_sums[:1]
+            eng._publish(1, syn)
+            want = "partition 1: square sums of shape (1, 2) for a centroid array of shape (2, 2)"
+        report = eng.audit()
+        assert report.issues == [want]
+        assert [k for k, ok in report.checks.items() if not ok] == ["synopsis_alpha_compliance"]
+
     @pytest.mark.parametrize("fault", ["matrix", "offsets", "skipped_rebuild", "skipped_write"])
     def test_detects_stale_routing_matrix(self, rng, fault, monkeypatch):
         # Root-fallback synopses: every ingest moves the chosen partition's mean.
@@ -703,6 +720,12 @@ class TestAudit:
                    for alias in node.names if alias.name.startswith("_")}
         assert private == {"_check_weight_params"}
 
+
+    def test_the_engine_reads_a_synopsis_only_for_its_centroids_version_and_id(self):
+        """A synopsis checks its own columns: the engine names none of those that only that check reads."""
+        tree = ast.parse((ROOT / "src" / "synalloc" / "engine.py").read_text())
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not read & {"counts", "linear_sums", "square_sums", "dominant"}
 
 # ------------------------------------------------------- fused scoring
 

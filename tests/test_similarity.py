@@ -765,6 +765,21 @@ class TestEnsembleSimilarity:
         got = ensemble_similarity(x, make_synopsis([[2**62, 2**62]]))
         assert got.per_metric[1].dissimilarity == 1.0 and got.similarity == pytest.approx(1 / 6)
 
+    @pytest.mark.parametrize("centroids, dtype", [
+        (np.array([[3 + 4j, 1.0]]), "complex128"),
+        (np.array([[3 + 0j, 1.0]]), "complex128"),
+        (np.array([["3", "1"]]), "<U1"),
+        (np.array([[3.0, 1.0]], dtype=object), "object"),
+    ])
+    def test_rejects_centroids_that_are_not_real_numbers(self, centroids, dtype):
+        # Numpy would score complex centroids by their real part, with a ComplexWarning; no warning may escape.
+        syn = make_synopsis([[3.0, 1.0]])
+        syn.centroids = centroids
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(VectorError, match=f"^malformed input: {dtype} synopsis centroids are not real numbers$"):
+                ensemble_similarity([1.0, 2.0], syn)
+
     def test_rejects_empty_synopsis(self):
         with pytest.raises(ConfigError):
             ensemble_similarity([1.0, 2.0], make_synopsis(np.zeros((0, 2))))

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from synalloc import ClusterFeature, CFTree, EmptyClusterError, VectorError, extract_synopsis, synopsis
 from synalloc.validation import as_vector
 
-from conftest import cf_of, tree_state
+from conftest import cf_of, make_synopsis, tree_state
 
 
 # ---------------------------------------------------------------- oracles
@@ -893,7 +893,63 @@ class TestExtractSynopsis:
                               ("centroids", [cf.centroid() for cf in want])):
                 got = getattr(syn, name)
                 assert got.shape == (len(want), 2) and got.tobytes() == np.array(ref).tobytes(), name
+            assert syn.consistency_issues(alpha, 2) == []
         assert tree.consistency_issues() == []
+
+
+class TestSynopsisConsistency:
+    """A synopsis checks its own columns: the alpha rule, their shapes, centroid drift and signs."""
+
+    def test_an_extracted_synopsis_passes(self):
+        tree = CFTree(dimension=1, threshold=2.0)
+        for i, size in enumerate([60, 3, 55]):
+            for _ in range(size):
+                tree.insert(np.array([i * 100.0]))
+        assert extract_synopsis(tree, 50, partition_id=1, version=1).consistency_issues(50, 1) == []
+        assert extract_synopsis(tree, 100, partition_id=1, version=1).consistency_issues(100, 1) == []  # fallback
+
+    def test_a_count_below_alpha_is_allowed_only_in_a_one_row_synopsis(self):
+        assert make_synopsis([[3.0, 4.0]], count=5).consistency_issues(10, 2) == []  # the root fallback
+        syn = make_synopsis([[3.0, 4.0], [5.0, 5.0]], count=10)
+        assert syn.consistency_issues(10, 2) == []
+        assert syn.consistency_issues(11, 2) == ["sub-alpha CF in synopsis"]
+
+    @pytest.mark.parametrize("fault, want", [
+        ("rows_cut", "centroid array of shape (1, 2) for 2 dominant CFs of dimension 2"),
+        ("counts_2d", "counts of shape (2, 1) and linear sums of shape (2, 2) for a centroid array of shape (2, 2)"),
+        ("linear_sums_cut", "counts of shape (2,) and linear sums of shape (1, 2) for a centroid array of shape (2, 2)"),
+        ("square_sums_cut", "square sums of shape (1, 2) for a centroid array of shape (2, 2)"),
+        ("square_sums_wrong_dimension", "square sums of shape (2, 3) for a centroid array of shape (2, 2)"),
+    ])
+    def test_the_first_column_that_does_not_fit_is_named(self, fault, want):
+        syn = make_synopsis([[3.0, 4.0], [5.0, 5.0]])
+        if fault == "rows_cut":  # the square sums do not fit either: only the first fault is named
+            syn.centroids = syn.centroids[:1]
+        elif fault == "counts_2d":
+            syn.counts = syn.counts[:, None]
+        elif fault == "linear_sums_cut":
+            syn.linear_sums = syn.linear_sums[:1]
+        elif fault == "square_sums_cut":  # dominant zips the columns, so it would drop a CF unseen
+            syn.square_sums = syn.square_sums[:1]
+            assert len(syn.dominant) == 1
+        else:
+            syn.square_sums = np.ones((2, 3))
+        assert syn.consistency_issues(10, 2) == [want]
+
+    def test_each_drifted_centroid_is_named(self):
+        syn = make_synopsis([[3.0, 4.0], [5.0, 5.0], [6.0, 1.0]])
+        syn.centroids[0, 1] *= 1.0 + 1e-9
+        syn.centroids[2, 0] += 1e-6
+        assert syn.consistency_issues(10, 2) == ["stored centroid drifted"] * 2
+        syn = make_synopsis([[3.0, 4.0]])
+        syn.counts[0] = 0  # 0/0 and x/0: no centroid fits
+        assert syn.consistency_issues(0, 2) == ["stored centroid drifted"]
+
+    def test_a_negative_centroid_is_named_last(self):
+        syn = make_synopsis([[3.0, 4.0], [5.0, -1e-300]], count=5)
+        assert syn.consistency_issues(10, 2) == ["sub-alpha CF in synopsis", synopsis.NEGATIVE_CENTROID]
+        syn.centroids[0, 0] += 1.0
+        assert syn.consistency_issues(5, 2) == ["stored centroid drifted", synopsis.NEGATIVE_CENTROID]
 
 
 class TestDominantRegistry:
