@@ -23,14 +23,13 @@ length:
   every crossing is published at once;
 - preset 2 at alpha 1 (seed 3), where every leaf entry is dominant from
   the moment it is created;
-- preset 1 at 6 and 7 partitions (seed 1), whose one-row synopses make a
-  routing matrix of 30 and 35 numbers: just inside and just outside the
-  float path's bound (``FLOAT_PATH_MAX``), so that one case is scored in
+- preset 1 at 16 and 17 partitions (seed 1), whose one-row synopses make a
+  routing matrix of 16 and 17 rows: just inside and just outside the
+  float path's bound (``FLOAT_PATH_ROWS``), so that one case is scored in
   plain floats and the other on the kernel;
 - preset 1 in 2 partitions at alpha 400 and threshold 18.0 (seed 1), whose
-  synopses publish 1-3 rows each while the matrix stays inside that bound
-  (so the float path takes each segment's best of several rows), and
-  up to 13 rows once it grows past it;
+  synopses publish 1-12 rows each, a matrix of 2-13 rows inside that
+  bound, so that the float path takes each segment's best of several rows;
 - preset 1 at alpha 2 and threshold 4.0 (seed 8), which publishes hundreds
   of dominant entries on every insert, many of them tied at count 2, and
   ``validate`` in the same configuration (seed 9), whose audit reads them;
@@ -122,7 +121,7 @@ def cases() -> list[tuple[str, list[str]]]:
                                        "--threshold", "4.0", "--refresh", "1", *outputs]))
     out.append(("run-alpha1", ["run", "--scenario", "2", "--seed", "3", "--alpha", "1", *outputs]))
     out.extend((f"run-s1-p{n}", ["run", "--scenario", "1", "--seed", "1", "--partitions", str(n), *outputs])
-               for n in (6, 7))
+               for n in (16, 17))
     out.append(("run-p2-alpha400-threshold18", ["run", "--scenario", "1", "--seed", "1", "--partitions", "2",
                                                 "--alpha", "400", "--threshold", "18.0", *outputs]))
     out.append(("run-alpha2-threshold4", ["run", "--scenario", "1", "--seed", "8", "--alpha", "2",

@@ -22,7 +22,7 @@ A small matrix costs the kernel ~20 numpy calls whatever its size, so
 ``score_segments`` scores it in plain Python floats instead
 (``_score_floats``), with the kernel's arithmetic in the kernel's order and
 so the same bits. It does so only on the kernel's fault-free path, with the
-outlier rule skipped, M < 8 and rows x M at most ``FLOAT_PATH_MAX``: Python
+outlier rule skipped, M < 8 and at most ``FLOAT_PATH_ROWS`` rows: Python
 floats overflow silently and raise on division by zero, so nothing outside
 that domain may reach them. The matrix holds the lists that path reads.
 
@@ -152,9 +152,10 @@ def opinion_pool(outcomes, weights: WeightVector) -> float:
 
 # Fault-free bound on sum(x) and on every centroid row sum; see ``_dissim_rows``.
 SUM_BOUND = 2.0**1020
-# Most numbers (rows x M) that ``score_segments`` scores in plain Python floats: beyond it numpy's
-# per-call cost is the smaller. Its cost is mostly per row, so M = 1 sets the bound.
-FLOAT_PATH_MAX = 30
+# Most rows (at M < 8) that ``score_segments`` scores in plain Python floats. Its cost is mostly
+# per row: at 16 rows it took 0.54-0.86 of the kernel's time for M = 1 to 7, at 20 rows up to 0.92
+# (a sweep on a 2-vCPU host, in CHANGES.md).
+FLOAT_PATH_ROWS = 16
 _UNGUARDED = contextlib.nullcontext()
 
 
@@ -176,7 +177,7 @@ class RoutingMatrix:
     The blocks are stacked as float64, so that integer rows are summed as
     floats and cannot wrap. ``floats`` holds the rows and their sums as
     Python lists for ``score_segments``' float path, when M < 8 and
-    rows x M is at most ``FLOAT_PATH_MAX``; otherwise it is None.
+    there are at most ``FLOAT_PATH_ROWS`` rows; otherwise it is None.
     """
 
     __slots__ = ("centroids", "offsets", "sums", "bounded", "floats")
@@ -190,7 +191,7 @@ class RoutingMatrix:
         self.bounded = _in_bound(self.sums)
         m = stacked.shape[1]
         self.centroids = np.asfortranarray(stacked) if m < 8 else stacked
-        small = m < 8 and stacked.size <= FLOAT_PATH_MAX
+        small = m < 8 and len(stacked) <= FLOAT_PATH_ROWS
         self.floats = (stacked.tolist(), self.sums.tolist()) if small else None
 
     def patch(self, s: int, rows: np.ndarray) -> bool:
@@ -255,7 +256,7 @@ class RoutingMatrix:
             skip_differs = ((rule_pooled.view(np.int64) != pooled.view(np.int64))
                             & ~(np.isnan(rule_pooled) & np.isnan(pooled)))
         float_differs = np.zeros(len(pooled), dtype=bool)
-        routed = _score_floats(x, live, theta) if live is not None and _takes_float_path(live, k) else None
+        routed = _score_floats(x, live, theta, k) if live is not None and _takes_float_path(live, k) else None
         if routed is not None:
             differs = routed.similarities.view(np.int64) != scores.similarities.view(np.int64)
             float_differs = np.repeat(differs, np.diff(self.offsets))
@@ -420,32 +421,41 @@ class SegmentScores(Sequence):
     one call, plus the matrix's ``offsets``, which no matrix ever writes.
     So scores read late are the scores as of the call. The fields keep
     what scoring computed: ``rule_weights`` is None where ``_pool`` skipped
-    the rule. The float path hands its values over as ``per_row``, a list
-    of (J, S, K) tuples and a list of pooled values; ``dissims`` and
-    ``pooled`` are built from them on first read, as the kernel lays them out.
+    the rule. The float path keeps no per-row values: it hands over
+    ``replay``, the call's x, the matrix's row lists (which ``patch``
+    rebinds and never writes into, so they are the rows as of the call)
+    and k, and on first read of ``dissims`` or ``pooled`` the kernel
+    (``_dissim_rows``, then ``_pool``) scores them once, in its own layout.
     """
 
     def __init__(self, similarities: np.ndarray, offsets: np.ndarray, theta: float,
                  dissims: np.ndarray | None = None, pooled: np.ndarray | None = None,
-                 rule_weights: np.ndarray | None = None, per_row: tuple[list, list] | None = None):
+                 rule_weights: np.ndarray | None = None, replay: tuple[list, list, float] | None = None):
         self.similarities = similarities  # (segments,) best fused similarity per segment
         self.offsets = offsets  # (segments + 1,)
         self.theta = theta
         self.rule_weights = rule_weights  # (rows, 3) as the outlier rule built them; None where it was skipped
-        self._per_row = per_row
-        if per_row is None:  # else the cached properties build them
+        self._replay = replay
+        if replay is None:  # else the cached properties build them
             self.dissims, self.pooled = dissims, pooled
         self._items: list[EnsembleScore] | None = None
 
     @functools.cached_property
+    def _replayed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel's outcomes and pooled values for a float-path call, from what it captured."""
+        x, rows, k = self._replay
+        dissims = _dissim_rows(np.array(x), RoutingMatrix([np.array(rows)]))
+        return dissims, _pool(dissims.T, self.theta, k)[1]
+
+    @functools.cached_property
     def dissims(self) -> np.ndarray:
         """(rows, 3) metric outcomes per centroid row: a ``.T`` view of a (3, rows) buffer."""
-        return np.array(self._per_row[0], order="F")
+        return self._replayed[0]
 
     @functools.cached_property
     def pooled(self) -> np.ndarray:
         """(rows,) pooled dissimilarity per centroid row."""
-        return np.array(self._per_row[1])
+        return self._replayed[1]
 
     def __len__(self) -> int:
         return len(self.similarities)
@@ -481,13 +491,13 @@ class SegmentScores(Sequence):
 def _takes_float_path(matrix: RoutingMatrix, k: float) -> bool:
     """Whether ``score_segments`` may score ``matrix`` in floats, before it reads sum(x).
 
-    The matrix holds its lists (M < 8, rows x M at most ``FLOAT_PATH_MAX``),
+    The matrix holds its lists (M < 8, at most ``FLOAT_PATH_ROWS`` rows),
     its row sums are fault-free, and the outlier rule is skipped.
     """
     return matrix.floats is not None and matrix.bounded and _rule_skipped(len(METRICS), k)
 
 
-def _score_floats(xv: np.ndarray, matrix: RoutingMatrix, theta: float) -> SegmentScores | None:
+def _score_floats(xv: np.ndarray, matrix: RoutingMatrix, theta: float, k: float) -> SegmentScores | None:
     """``score_segments`` in plain Python floats, bit for bit: the kernel's arithmetic in its order.
 
     Only for what ``_takes_float_path`` admits. It returns None, before any
@@ -498,14 +508,17 @@ def _score_floats(xv: np.ndarray, matrix: RoutingMatrix, theta: float) -> Segmen
     one comparison. J and S are non-negative and K is at most 1, exactly, so
     each needs only its other clip. Pooling is ((J/3 + S/3) + K/3), as
     ``_pool`` sums its leading axis; a segment's similarity is its best row's.
+    Nothing else per row is kept: ``SegmentScores`` has the kernel rebuild
+    the outcomes and pooled values if they are read.
     """
     x = xv.tolist()
     sx = functools.reduce(operator.add, x, 0.0)  # left to right; sum() compensates from Python 3.12
     if not 0.0 < sx <= SUM_BOUND:
         return None
     third = 1.0 / len(METRICS)
-    outcomes, pooled, sims = [], [], []
-    for c, sc in zip(*matrix.floats):
+    rows, sums = matrix.floats
+    sims = []
+    for c, sc in zip(rows, sums):
         a = m = 0.0
         for ci, xi in zip(c, x):
             if ci > xi:
@@ -524,14 +537,11 @@ def _score_floats(xv: np.ndarray, matrix: RoutingMatrix, theta: float) -> Segmen
         kul = 1.0 - (m / sx + m / sc) * 0.5
         if kul < 0.0:
             kul = 0.0
-        p = j * third + s * third + kul * third
-        outcomes.append((j, s, kul))
-        pooled.append(p)
-        sims.append(1.0 - p)
+        sims.append(1.0 - (j * third + s * third + kul * third))
     offsets = matrix.offsets
     if len(sims) > len(offsets) - 1:  # some segment holds more than one row
         sims = [max(sims[lo:hi]) for lo, hi in itertools.pairwise(offsets.tolist())]
-    return SegmentScores(np.array(sims), offsets, theta, per_row=(outcomes, pooled))
+    return SegmentScores(np.array(sims), offsets, theta, replay=(x, rows, k))
 
 
 def score_segments(
@@ -551,10 +561,10 @@ def score_segments(
     where numpy's per-call cost would be most of the time. That path is
     taken when all of these hold: the matrix's row sums are fault-free,
     0 < sum(x) <= SUM_BOUND, M < 8, the outlier rule is skipped (k^2 >= 2n),
-    and rows x M is at most ``FLOAT_PATH_MAX``. It gives the kernel's
+    and the matrix has at most ``FLOAT_PATH_ROWS`` rows. It gives the kernel's
     values bit for bit. Everything else takes the kernel.
     """
-    if _takes_float_path(matrix, k) and (scores := _score_floats(xv, matrix, theta)) is not None:
+    if _takes_float_path(matrix, k) and (scores := _score_floats(xv, matrix, theta, k)) is not None:
         return scores
     return _score_kernel(xv, matrix, theta, k)
 

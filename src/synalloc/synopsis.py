@@ -370,36 +370,49 @@ class CFTree:
     def consistency_issues(self) -> list[str]:
         """Full-tree audit; returns human-readable violations (empty = healthy).
 
-        The walk goes down a level at a time, in a few array passes per level. The level's first
-        pointer to a node reaches it and every other pointer is cut. Paths are built only for issues.
+        The node lists are concatenated once, after ids outside the table are dropped, and
+        the walk and the node sizes read that one array by each node's start and length.
+        The walk goes down a level at a time, in a few array passes per level; a level's
+        entry ids are one offset gather. The level's first pointer to a node reaches it and
+        every other pointer is cut. Steps that only a fault needs run only where their input
+        shows it: the dedup of a level's pointers when a node is pointed to twice in it, each
+        set lookup when its set is non-empty, and the child sums' zero-fill when a walked node
+        is empty. Paths are built only for issues.
         """
         issues: list[str] = []
         count, child = self.counts, self._child[: self._n]
         leaf = child < 0
         nodes = self._nodes  # what the audit reads: ids outside the table dropped, and reported below
         off_table: dict[int, list[int]] = {}
-        listed_ids = np.concatenate(nodes)
-        if ((listed_ids < 0) | (listed_ids >= self._n)).any():
+        flat = np.concatenate(nodes)  # every node's entry ids, node after node
+        if (off := (flat < 0) | (flat >= self._n)).any():
             nodes = list(nodes)
             for k, ids in enumerate(self._nodes):
                 if (bad := (ids < 0) | (ids >= self._n)).any():
                     off_table[k], nodes[k] = ids[bad].tolist(), ids[~bad]
+            flat = flat[~off]
         if not 0 <= self._root < len(nodes):  # every check below reads the walk from the root
             return [f"root node id {self._root} outside the {len(nodes)} nodes"]
+        lens = np.fromiter(map(len, nodes), np.intp, len(nodes))
+        starts = np.cumsum(lens) - lens  # where each node's entries begin in flat
         unreached = np.arange(len(nodes)) != self._root
         level, walk = np.array([self._root]), []
         while level.size:  # breadth first, children in entry order
-            ids = np.concatenate([nodes[k] for k in level.tolist()])
+            n_ids = lens[level]
+            ends = np.cumsum(n_ids)
+            ids = flat[np.repeat(starts[level] - (ends - n_ids), n_ids) + np.arange(ends[-1])]
             c = child[ids]
             walk.append((level, np.full(len(level), len(walk)), ids, cut := c >= 0))
             new = np.flatnonzero(cut & (c < len(nodes)))
             new = new[unreached[c[new]]]
-            new = np.sort(new[np.unique(c[new], return_index=True)[1]])  # the level's first pointer to each node
-            cut[new] = False  # the rest point past the node list, or to a node reached before
             level = c[new]
+            if level.size and np.bincount(level).max() > 1:  # a node pointed to twice in this level
+                new = np.sort(new[np.unique(level, return_index=True)[1]])  # the level's first pointer to each node
+                level = c[new]
+            cut[new] = False  # the rest point past the node list, or to a node reached before
             unreached[level] = False
         order, depths, rows, cut = map(np.concatenate, zip(*walk))  # rows: every entry id, as often as listed
-        sizes = np.fromiter(map(len, nodes), np.intp, len(nodes))[order]
+        sizes = lens[order]
         node_of = np.repeat(np.arange(len(order)), sizes)
         first = np.concatenate(([0], np.cumsum(sizes)))  # walk position of each walked node's first entry
         inner = np.flatnonzero(~(leaf[rows] | cut))  # walked node k + 1 hangs from the entry at inner[k]
@@ -410,8 +423,9 @@ class CFTree:
         def label(p) -> str:  # of the entry at walk position p
             return f"{path(node_of[p])}[{p - first[node_of[p]]}]"
 
-        for k in np.flatnonzero(np.isin(order, list(off_table))).tolist():
-            issues.append(f"{path(k)}: entry ids {off_table[order[k]]} outside the table of {self._n} rows")
+        if off_table:
+            for k in np.flatnonzero(np.isin(order, list(off_table))).tolist():
+                issues.append(f"{path(k)}: entry ids {off_table[order[k]]} outside the table of {self._n} rows")
         for k in np.flatnonzero(sizes > self.branching_factor).tolist():
             issues.append(f"{path(k)}: {sizes[k]} entries > B")
         leaf_depth = self._height(nodes) - 1
@@ -438,12 +452,19 @@ class CFTree:
 
         many = np.flatnonzero(leaf & (count >= 2))  # in table order: the leaf entries whose radius is checked
         r = _radii(count[many], self._ls.take(many, axis=0), self._ss.take(many, axis=0))
-        for p in np.flatnonzero(np.isin(rows, many[r > self.threshold + 1e-9])).tolist():  # each listing of one
-            issues.append(f"{label(p)}: radius {r[np.searchsorted(many, rows[p])]:.6g} > T")
+        if (over := many[r > self.threshold + 1e-9]).size:
+            for p in np.flatnonzero(np.isin(rows, over)).tolist():  # each listing of one
+                issues.append(f"{label(p)}: radius {r[np.searchsorted(many, rows[p])]:.6g} > T")
+
+        below, heads = rows[first[1]:], first[1:-1] - first[1]  # the walk under the root, and where each node starts
+        full = sizes[1:] > 0
+        some_empty = not full.all()
 
         def child_sums(col: np.ndarray) -> np.ndarray:  # per inner entry, its child's rows added in order as merge does
-            out, full = np.zeros((len(inner), *col.shape[1:]), dtype=col.dtype), sizes[1:] > 0
-            out[full] = np.add.reduceat(col.take(rows[first[1]:], axis=0), first[1:-1][full] - first[1])
+            if not some_empty:
+                return np.add.reduceat(col.take(below, axis=0), heads)
+            out = np.zeros((len(inner), *col.shape[1:]), dtype=col.dtype)  # reduceat would give an empty node a row
+            out[full] = np.add.reduceat(col.take(below, axis=0), heads[full])
             return out
 
         got, want = count[rows[inner]], child_sums(count)

@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = ROOT / "bench"
 SCRIPTS_DIR = ROOT / "scripts"
 FIXTURES = Path(__file__).parent / "fixtures"
+# The bench modules that a bench module imports by name, as its own directory on sys.path would serve them.
+BENCH_SIBLINGS = {"run": ("oracle", "compare", "spans")}
 
 
 @pytest.fixture
@@ -25,13 +28,23 @@ def rng() -> np.random.Generator:
 def _load_by_path(path: Path, module_name: str):
     spec = importlib.util.spec_from_file_location(module_name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[module_name] = module  # where dataclasses look a class's module up
     spec.loader.exec_module(module)
     return module
 
 
 def load_bench(name: str):
-    """The module ``bench/<name>.py``, loaded by file path so that ``bench/`` never goes on ``sys.path``."""
-    return _load_by_path(BENCH_DIR / f"{name}.py", f"bench_{name}")
+    """The module ``bench/<name>.py``, loaded by file path so that ``bench/`` never goes on ``sys.path``.
+
+    Its ``BENCH_SIBLINGS`` are loaded the same way and serve its imports of them by name while it loads.
+    """
+    siblings = {s: load_bench(s) for s in BENCH_SIBLINGS.get(name, ()) if s not in sys.modules}
+    sys.modules.update(siblings)
+    try:
+        return _load_by_path(BENCH_DIR / f"{name}.py", f"bench_{name}")
+    finally:
+        for s in siblings:
+            del sys.modules[s]
 
 
 def load_script(name: str):

@@ -8,8 +8,8 @@ and the engine's counts (accepted, rejected, resident points and messages)
 must equal the machine's own.
 
 With k drawn on both sides of sqrt(6), d from 1 to 12 and up to 8
-partitions, both sides of the float path's dispatch (M < 8, rows x M at
-most ``FLOAT_PATH_MAX``, the outlier rule skipped) run in one machine.
+partitions, both sides of the float path's dispatch (M < 8, at most
+``FLOAT_PATH_ROWS`` rows, the outlier rule skipped) run in one machine.
 """
 
 import math

@@ -28,7 +28,7 @@ import synalloc.similarity
 from synalloc.similarity import (
     DEFAULT_OUTLIER_K,
     DEFAULT_THETA,
-    FLOAT_PATH_MAX,
+    FLOAT_PATH_ROWS,
     METRICS,
     SUM_BOUND,
     RoutingMatrix,
@@ -327,14 +327,14 @@ NEAR_SUM_BOUND = [SUM_BOUND / 2, float(np.nextafter(SUM_BOUND, 0.0)), SUM_BOUND,
 def float_path_cases(draw):
     """x and segmented rows on both sides of every bound of the float path's dispatch.
 
-    M is drawn on both sides of 8, and rows x M on both sides of FLOAT_PATH_MAX, with the
-    last row count that fits and the first that does not drawn often. Components span
+    M is drawn on both sides of 8, and the row count on both sides of FLOAT_PATH_ROWS, with
+    the last row count that fits and the first that does not drawn often. Components span
     1e-3 to 1e3; x may hold zeros of either sign or subnormals, a row may copy x, be all
     zero or hold subnormals, and x or a row may sum to near SUM_BOUND. One segment may
     be patched afterwards, at its row count.
     """
     m = draw(st.sampled_from([1, 2, 3, 5, 7, 8, 9]))
-    fits = max(FLOAT_PATH_MAX // m, 1)
+    fits = FLOAT_PATH_ROWS
     n_rows = draw(st.one_of(st.integers(1, fits + 2), st.sampled_from([fits, fits + 1])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** rng.uniform(-3, 3, m)
@@ -393,7 +393,7 @@ class TestFloatPath:
         sums, m = rows.sum(axis=1), rows.shape[1]
         with np.errstate(all="ignore"):
             sx = float(x.sum())
-        takes = bool(m < 8 and rows.size <= FLOAT_PATH_MAX and k * k >= 2 * len(METRICS)
+        takes = bool(m < 8 and len(rows) <= FLOAT_PATH_ROWS and k * k >= 2 * len(METRICS)
                      and (sums > 0.0).all() and (sums <= SUM_BOUND).all() and 0.0 < sx <= SUM_BOUND)
 
         real = synalloc.similarity._dissim_rows
@@ -413,10 +413,9 @@ class TestFloatPath:
 
     @pytest.mark.parametrize("m", [1, 5, 7, 8])
     def test_the_lists_are_held_exactly_where_the_dispatch_can_use_them(self, rng, m):
-        fits = FLOAT_PATH_MAX // m
-        for n_rows in (fits, fits + 1):
+        for n_rows in (FLOAT_PATH_ROWS, FLOAT_PATH_ROWS + 1):
             matrix = RoutingMatrix([rng.uniform(0, 1, (n_rows, m))])
-            assert (matrix.floats is not None) is (m < 8 and n_rows * m <= FLOAT_PATH_MAX)
+            assert (matrix.floats is not None) is (m < 8 and n_rows <= FLOAT_PATH_ROWS)
 
     def test_a_patch_rebinds_the_lists(self, rng):
         a, b = rng.uniform(0, 1, (2, 5)), rng.uniform(0, 1, (1, 5))

@@ -1,15 +1,23 @@
 """Cluster features, the CF-tree, and synopsis extraction."""
 
+import contextlib
+import copy
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from synalloc import ClusterFeature, CFTree, EmptyClusterError, VectorError, extract_synopsis, synopsis
+import synalloc
+from synalloc import (AllocationEngine, ClusterFeature, CFTree, EmptyClusterError, EngineConfig, VectorError,
+                      extract_synopsis, synopsis)
 from synalloc.validation import as_vector
 
-from conftest import cf_of, make_synopsis, tree_state
+from conftest import cf_of, load_bench, make_synopsis, tree_state
+
+bench_run = load_bench("run")
 
 
 # ---------------------------------------------------------------- oracles
@@ -149,6 +157,26 @@ def reference_consistency_issues(tree: CFTree) -> list[str]:
         if not np.array_equal(np.sort(tree._dominant[: tree._n_dominant]), want):  # missing, extra or duplicated
             issues.append(f"dominant registry out of sync with leaf counts at alpha {tree._dominant_alpha}")
     return issues
+
+
+@functools.cache
+def large_tree() -> CFTree:
+    """A seeded tree of 2400 points at B = 3 and height 10, whose widest level holds over a thousand nodes.
+
+    Shared: copy it before corrupting it.
+    """
+    tree = CFTree(dimension=2, threshold=0.01, branching_factor=3)
+    for row in np.random.default_rng(2026).uniform(0.0, 10.0, size=(2400, 2)):
+        tree.insert(row)
+    return tree
+
+
+def node_levels(tree: CFTree) -> list[list[int]]:
+    """The node ids of each level, breadth first from the root, on a healthy tree."""
+    levels = [[tree._root]]
+    while nxt := [int(c) for n in levels[-1] for c in tree._child[tree._nodes[n]] if c >= 0]:
+        levels.append(nxt)
+    return levels
 
 
 def reference_insert(tree: CFTree, x) -> tuple[int, bool]:
@@ -650,6 +678,57 @@ class TestCFTree:
         assert f"root[1][0]: child node {shared} reached twice: a cycle or a shared node" in issues
         assert not [i for i in issues if i.startswith("root[0][0]: child node")]
         assert issues == reference_consistency_issues(tree)
+
+    def test_the_large_tree_is_deep_and_wide(self):
+        tree = large_tree()
+        assert tree.total_points >= 2000 and tree.branching_factor == 3 and tree.height() >= 7
+        assert max(map(len, node_levels(tree))) >= 500
+        assert tree.consistency_issues() == [] == reference_consistency_issues(tree)
+
+    @pytest.mark.parametrize("fault", AUDIT_FAULTS)
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_audit_matches_the_reference_walk_at_scale(self, fault, data):
+        """One fault, at a drawn place, in the large tree: the reference's issues, string for string."""
+        tree = copy.deepcopy(large_tree())
+        self._corrupt(tree, fault, data)
+        assert tree.consistency_issues() == reference_consistency_issues(tree)
+
+    def test_audit_follows_the_first_of_two_pointers_to_a_node_in_a_wide_level(self):
+        tree = copy.deepcopy(large_tree())
+        level = node_levels(tree)[-2]  # the inner nodes just above the leaf nodes
+        entries = [int(e) for n in level for e in tree._nodes[n]]
+        assert len(entries) >= 500
+        first, second = entries[len(entries) // 3], entries[2 * len(entries) // 3]
+        shared = int(tree._child[first])
+        tree._child[second] = shared
+        issues = tree.consistency_issues()
+        twice = [i for i in issues if "reached twice" in i]
+        assert len(twice) == 1 and twice[0].endswith(f"child node {shared} reached twice: a cycle or a shared node")
+        assert issues == reference_consistency_issues(tree)
+
+    @pytest.mark.parametrize("depth", [-1, -2])  # a leaf node, and the inner node above one
+    def test_audit_sums_an_emptied_node_deep_below_the_root_to_zero(self, depth):
+        tree = copy.deepcopy(large_tree())
+        level = node_levels(tree)[depth]
+        node = level[len(level) // 2]  # walked nodes follow it: its child sum is not the last
+        tree._nodes[node] = tree._nodes[node][:0]
+        issues = tree.consistency_issues()
+        assert [i for i in issues if "!= child sum 0" in i]
+        assert issues == reference_consistency_issues(tree)
+
+    @pytest.mark.parametrize("workload", sorted(bench_run.WORKLOADS))
+    def test_audit_matches_the_reference_walk_on_each_benchmark_workload(self, workload):
+        """Every partition's tree after the workload's op stream at scale 0.05 is healthy, by both audits."""
+        wl = bench_run.WORKLOADS[workload]
+        inputs = bench_run.make_inputs(wl, 1, 0.05, np, synalloc)
+        engine = AllocationEngine(EngineConfig(n_partitions=wl.n_partitions, dimension=bench_run.DIM, **wl.engine),
+                                  inputs.initial)
+        for kind, x, _, _ in inputs.ops:
+            with contextlib.suppress(VectorError):
+                engine.ingest(x) if kind == bench_run.INGEST else engine.allocate(x)
+        for p in engine.partitions:
+            assert p.tree.consistency_issues() == reference_consistency_issues(p.tree) == []
 
     def test_rejects_bad_vectors(self):
         tree = CFTree(dimension=2, threshold=1.0)
