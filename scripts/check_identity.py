@@ -72,6 +72,8 @@ length:
 - ``run`` on a custom stream of mean -1000 and std 1, every row of which
   clamps to all zeros, so that no redraw can end: it must exit 1 naming
   mu, sigma and the dimension, before any draw of the stream.
+- ``run`` on preset 2 with ``--mu`` and ``--sigma``, which only a custom
+  stream takes: it must exit 1 naming both flags, not run the preset.
 
 A case that runs longer than ``CASE_TIMEOUT_S`` seconds is stopped, and its
 exit code is recorded as ``timeout``, so that a tree that hangs shows as a
@@ -167,6 +169,7 @@ def cases() -> list[tuple[str, list[str]]]:
         ("init-sigma-1e154", ["--vectors", "200", "--init-sigma", "1e154"]),
         ("init-spread-1e308", ["--vectors", "200", "--init-spread", "1e308"]),
         ("custom-mu-1000", ["--scenario", "custom", "--mu", "-1000", "--sigma", "1", "--vectors", "5"]),
+        ("preset-mu-sigma", ["--scenario", "2", "--mu", "5", "--sigma", "1", "--vectors", "50"]),
     ))
     return out
 

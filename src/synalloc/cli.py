@@ -156,6 +156,8 @@ def _scenario_specs(args) -> list[tuple[str, ScenarioSpec]]:
         if args.mu is None or args.sigma is None or args.vectors is None:
             raise ConfigError("custom scenario needs explicit --mu, --sigma and --vectors")
         return [("custom", ScenarioSpec(args.mu, args.sigma, args.vectors, args.seed))]
+    if args.mu is not None or args.sigma is not None:  # a preset fixes both; ignoring them would misreport
+        raise ConfigError(f"--mu and --sigma apply only to --scenario custom, not to --scenario {args.scenario}")
     if args.scenario == "all":
         keys = sorted(SCENARIO_PRESETS)
         seeds = np.random.default_rng(args.seed).integers(0, 2**63, size=len(keys))

@@ -61,6 +61,30 @@ def test_the_span_tracer_patches_and_observes_the_engine():
     assert score.similarity == 1.0
 
 
+def test_each_ingest_and_each_allocate_opens_one_validation_span():
+    """The benchmark's per-layer validation metric counts ``as_vector`` spans, whichever check accepts."""
+    spans = load_bench("spans")
+    tracer = spans.Tracer()
+    rng = np.random.default_rng(5)
+    initial = [rng.uniform(0, 10, size=(40, 5)) + 10 * i for i in range(3)]
+    vectors = [*rng.uniform(0, 30, size=(10, 5)), [1.0, 2.0, 3.0, 4.0, 5.0], np.array([1.0, np.nan, 1, 1, 1]),
+               np.ones(6)]
+
+    def spans_opened(op, x):
+        before = tracer.calls("setup", "validation.as_vector")
+        try:
+            op(x)
+        except synalloc.VectorError:
+            pass
+        return tracer.calls("setup", "validation.as_vector") - before
+
+    with spans.patched(tracer, synalloc):
+        eng = AllocationEngine(EngineConfig(n_partitions=3, dimension=5), initial)
+        opened = [spans_opened(op, x) for x in vectors for op in (eng.ingest, eng.allocate)]
+    assert opened == [1] * (2 * len(vectors))
+    assert eng.rejected == 2
+
+
 def test_the_oracle_imports_only_the_standard_library():
     """Every routing test checks the engine against bench/oracle.py, so it must not import the code it checks."""
     tree = ast.parse((BENCH_DIR / "oracle.py").read_text())

@@ -192,6 +192,17 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert f"{name} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--mu", "5", "--sigma", "1"], ["--mu", "5"], ["--sigma", "1"]])
+    @pytest.mark.parametrize("scenario", ["1", "2", "all"])
+    def test_mu_and_sigma_outside_the_custom_scenario_are_config_errors(self, scenario, flags, tmp_path, capsys):
+        """A preset fixes its own mean and sigma: the flags are refused, not silently replaced by the preset's."""
+        out = tmp_path / "report.json"
+        code = run_cli("run", "--scenario", scenario, *flags, "--vectors", "50", "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: --mu and --sigma apply only to --scenario custom, not to --scenario {scenario}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["run", "--scenario", "custom", "--mu", "-1000", "--sigma", "1", "--vectors", "5"],
         ["validate", "--mu", "-1000"],
