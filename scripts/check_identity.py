@@ -75,6 +75,11 @@ length:
 - ``run`` on preset 2 with ``--mu`` and ``--sigma``, which only a custom
   stream takes: it must exit 1 naming both flags, not run the preset.
 
+Every case runs at 5 components, the CLI's dimension and the dataset's
+column count, so no case reaches M >= 8, where one-row sums would differ
+if numpy's pairwise order crept back into the kernel; the library tests
+hold the kernel to left-to-right sums there.
+
 A case that runs longer than ``CASE_TIMEOUT_S`` seconds is stopped, and its
 exit code is recorded as ``timeout``, so that a tree that hangs shows as a
 difference rather than stalling the gate.

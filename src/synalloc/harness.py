@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset, ScenarioSpec, SyntheticInit, random_split, synth_stream, synthetic_partitions
 from .engine import AllocationEngine, AllocationRecord, EngineConfig
-from .errors import EmptyClusterError, SynallocError
+from .errors import EmptyClusterError, SynallocError, VectorError
 
 # Stream presets: (mu, sigma) of the generating Gaussian, 10k vectors each.
 SCENARIO_PRESETS = {
@@ -29,9 +29,11 @@ _MOMENT_RTOL = 1e-6
 
 
 def partition_stats(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dimension mean and population standard deviation."""
+    """Per-dimension mean and population standard deviation of the rows of a 2-D array."""
     vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[0] == 0:
+    if vectors.ndim != 2:
+        raise VectorError(f"expected a 2-D array of vectors, got shape {vectors.shape}")
+    if vectors.shape[0] == 0:
         raise EmptyClusterError("need at least one vector for statistics")
     return vectors.mean(axis=0), vectors.std(axis=0)
 

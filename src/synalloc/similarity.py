@@ -7,11 +7,11 @@ land in [0, 1]; similarity is one minus the pooled dissimilarity.
 
 The router's kernels (``_dissim_rows`` and ``_pool``) are metric-major: the
 outcomes of all centroid rows live in one (3, rows) buffer, and callers see
-(rows, 3) ``.T`` views of it. Their short sums (the M components when M < 8,
-and the n = 3 outcomes of a row) run over a leading axis. numpy adds fewer
-than 8 terms strictly left to right, along a row or a leading axis alike, so
-every value is bit-identical to the row-by-row formulas, and a reduction
-over a leading axis costs a fraction of one over many rows of length 3 or 5.
+(rows, 3) ``.T`` views of it. Each row's sums (of its M components, and
+of its n = 3 outcomes) are one reduction over another axis, which numpy
+adds left to right (with ``_component_sums`` where a single row would not
+be), and sum(x) is folded left to right. So every value is bit-identical
+to the row-by-row formulas added left to right, at a fraction of the cost.
 The kernel reads a ``RoutingMatrix``: the stacked centroid rows in its
 memory order, each row's sum, and a flag that lets it divide unguarded.
 The outlier rule looks each row's weights up by its outlier count in two
@@ -124,7 +124,7 @@ def all_dissims(x, s) -> list[MetricOutcome]:
 
 
 def compute_weights(outcomes, theta: float, k: float = DEFAULT_OUTLIER_K) -> WeightVector:
-    """Outlier-aware convex weights over metric outcomes.
+    """Outlier-aware convex weights over a vector of metric outcomes (``as_vector``).
 
     A metric is an outlier when its outcome deviates from the outcome mean
     by more than ``k`` population standard deviations. Outliers get the
@@ -132,7 +132,7 @@ def compute_weights(outcomes, theta: float, k: float = DEFAULT_OUTLIER_K) -> Wei
     outcomes equal (or, degenerately, all flagged) weights are uniform.
     This is the one-column case of ``_pool``, the rule the router applies.
     """
-    o = np.asarray(outcomes, dtype=np.float64)
+    o = as_vector(outcomes)
     if o.size < 2:
         raise ConfigError("need at least two metric outcomes")
     _check_weight_params(theta, k, o.size)
@@ -141,8 +141,8 @@ def compute_weights(outcomes, theta: float, k: float = DEFAULT_OUTLIER_K) -> Wei
 
 
 def opinion_pool(outcomes, weights: WeightVector) -> float:
-    """Convex combination of outcomes under the given weights, summed left to right as the router pools."""
-    o = np.asarray(outcomes, dtype=np.float64)
+    """Convex combination of an outcome vector under the given weights, summed left to right as the router pools."""
+    o = as_vector(outcomes)
     if o.size != weights.weights.size:
         raise VectorError("outcome/weight length mismatch")
     # Left to right, as the router pools (``_pool``): numpy sums 8 terms or more pairwise.
@@ -152,11 +152,23 @@ def opinion_pool(outcomes, weights: WeightVector) -> float:
 
 # Fault-free bound on sum(x) and on every centroid row sum; see ``_dissim_rows``.
 SUM_BOUND = 2.0**1020
-# Most rows (at M < 8) that ``score_segments`` scores in plain Python floats. Its cost is mostly
-# per row: at 16 rows it took 0.54-0.86 of the kernel's time for M = 1 to 7, at 20 rows up to 0.92
-# (a sweep on a 2-vCPU host, in CHANGES.md).
+# Most rows (at M < 8) that ``score_segments`` scores in plain Python floats; both bound only its
+# cost. That is mostly per row: at 16 rows it took 0.54-0.86 of the kernel's time for M = 1 to 7, at
+# 20 rows up to 0.92 (a sweep on a 2-vCPU host, in CHANGES.md).
 FLOAT_PATH_ROWS = 16
 _UNGUARDED = contextlib.nullcontext()
+
+
+def _component_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sums over axis -2 of ``a``, the M components of each row on axis -1, left to right from +0.0.
+
+    numpy reduces an axis that is not the innermost term by term, but with
+    one row it drops the last axis and sums pairwise from 8 terms. There
+    ``accumulate`` (left to right at any shape; ~10x the reduce over hundreds
+    of rows) takes over, and adding 0.0 gives -0.0s the reduce's +0.0 sum."""
+    if a.shape[-1] == 1 and a.shape[-2] > 1:
+        return np.add(np.add.accumulate(a, axis=-2)[..., -1, :], 0.0, out=out)
+    return np.add.reduce(a, axis=-2, out=out)
 
 
 def _in_bound(sums: np.ndarray) -> bool:
@@ -168,50 +180,46 @@ class RoutingMatrix:
     """Centroid rows stacked in segments, held as ``_dissim_rows`` reads them.
 
     Rows ``offsets[s]`` to ``offsets[s + 1] - 1`` form segment ``s``; in the
-    engine, one partition's synopsis. ``centroids`` is in the kernel's memory
-    order: Fortran below 8 components, which makes the kernel's (M, rows)
-    ``.T`` view contiguous, and C from 8 on, where numpy sums a row pairwise.
-    ``sums`` holds each row's sum bit for bit as the kernel would take it,
-    and ``bounded`` says whether every row sum lies in (0, SUM_BOUND], NaN
-    failing. ``offsets`` is never written: earlier ``SegmentScores`` read it.
-    The blocks are stacked as float64, so that integer rows are summed as
-    floats and cannot wrap. ``floats`` holds the rows and their sums as
-    Python lists for ``score_segments``' float path, when M < 8 and
-    there are at most ``FLOAT_PATH_ROWS`` rows; otherwise it is None.
+    engine, one partition's synopsis. ``centroids`` is Fortran-ordered, so
+    that the kernel's (M, rows) ``.T`` view is contiguous. ``sums`` holds
+    each row's sum as the kernel would take it, and ``bounded`` says whether
+    every row sum lies in (0, SUM_BOUND], NaN failing. ``offsets`` is never
+    written: earlier ``SegmentScores`` read it. The blocks are stacked as
+    float64, so that integer rows are summed as floats and cannot wrap.
+    ``floats`` holds the rows and their sums as Python lists for
+    ``score_segments``' float path, when M < 8 and there are at most
+    ``FLOAT_PATH_ROWS`` rows; otherwise it is None.
     """
 
     __slots__ = ("centroids", "offsets", "sums", "bounded", "floats")
 
     def __init__(self, blocks: Sequence[np.ndarray]):
-        # C-ordered whatever the blocks' layout (the concatenation of one Fortran block stays
-        # Fortran), so that from M = 8 on each row is summed pairwise, as the kernel reads it.
-        stacked = np.ascontiguousarray(np.concatenate(blocks), dtype=np.float64)
+        self.centroids = np.asfortranarray(np.concatenate(blocks), dtype=np.float64)
         self.offsets = np.array([0, *itertools.accumulate(map(len, blocks))])
-        self.sums = np.add.reduce(stacked, axis=1)
+        self.sums = _component_sums(self.centroids.T)
         self.bounded = _in_bound(self.sums)
-        m = stacked.shape[1]
-        self.centroids = np.asfortranarray(stacked) if m < 8 else stacked
-        small = m < 8 and len(stacked) <= FLOAT_PATH_ROWS
-        self.floats = (stacked.tolist(), self.sums.tolist()) if small else None
+        rows, m = self.centroids.shape
+        self.floats = (self.centroids.tolist(), self.sums.tolist()) if m < 8 and rows <= FLOAT_PATH_ROWS else None
 
     def patch(self, s: int, rows: np.ndarray) -> bool:
         """Write ``rows`` over segment ``s`` in place, with their sums and the flag.
 
         Only when the row count is unchanged; otherwise nothing changes, and
-        False tells the caller to build a new matrix. Summed where they lie,
-        the rows get a fresh build's sums (left to right below 8 components,
-        C-ordered rows from 8 on). The flag is re-derived from the patched
-        sums, usually one, checked in Python as two ufunc reductions cost
-        more; every row is scanned only when it was down, as a row outside
-        the bound may be the one replaced. ``floats`` gets new lists, not
-        writes into its old ones.
+        False tells the caller to build a new matrix. The whole matrix is
+        re-summed in place as a build sums it: one reduce, left to right from
+        two rows on, where a one-row segment would need ``accumulate``; at
+        the engine's sizes it costs about one segment's sum. The flag is
+        re-derived from the patched sums, usually one, checked in Python as
+        two ufunc reductions cost more; every row is scanned only when it
+        was down, as a row outside the bound may be the one replaced.
+        ``floats`` gets new lists, not writes into its old ones.
         """
         lo, hi = self.offsets[s:s + 2].tolist()
         if hi - lo != len(rows):
             return False
         block = self.centroids[lo:hi]
         block[...] = rows
-        patched = np.add.reduce(block, axis=1, out=self.sums[lo:hi]).tolist()
+        patched = _component_sums(self.centroids.T, out=self.sums)[lo:hi].tolist()
         self.bounded = (all(0.0 < v <= SUM_BOUND for v in patched)  # _in_bound; NaN fails
                         and (self.bounded or _in_bound(self.sums)))
         if self.floats is not None:
@@ -280,29 +288,20 @@ def _dissim_rows(x: np.ndarray, matrix: RoutingMatrix) -> np.ndarray:
 
     Metric-major: J, S and K go into one (3, rows) buffer, returned as its
     (rows, 3) ``.T`` view. The sums of |c - x| and min(c, x) over the M
-    components are one reduction over a scratch block. For M < 8 the block
-    is (2, M, rows), summed over its middle axis: numpy adds fewer than 8
-    terms left to right along any axis, so the sums equal a row-wise sum bit
-    for bit, at a fraction of its cost over many rows. Its inputs are read
-    through the (M, rows) ``.T`` view of the matrix's Fortran-ordered rows.
-    From M = 8 on numpy sums a row pairwise, so the block is (2, rows, M)
-    and is summed along its rows, read from C-ordered rows.
-    K is computed in its output row, with no temporary. The row sums are
-    the matrix's own, and its flag decides, with sum(x), whether the
-    divisions are guarded.
+    components are one reduction over the middle axis of a (2, M, rows)
+    scratch block, left to right (``_component_sums``), as the matrix's row
+    sums and sum(x) are. The block is read through the (M, rows) ``.T``
+    view of the matrix's Fortran-ordered rows. K is computed in its output
+    row, with no temporary. The row sums are the matrix's own, and its flag
+    decides, with sum(x), whether the divisions are guarded.
     """
     centroids, sums = matrix.centroids, matrix.sums
     rows, m = centroids.shape
-    sx = float(np.add.reduce(x))
-    if m < 8:
-        block = np.empty((2, m, rows))
-        c, xv, axis = centroids.T, x[:, None], 1
-    else:
-        block = np.empty((2, rows, m))
-        c, xv, axis = centroids, x, 2
+    sx = functools.reduce(operator.add, x.tolist(), 0.0)  # as the float path adds it
+    c, xv, block = centroids.T, x[:, None], np.empty((2, m, rows))
     np.abs(np.subtract(c, xv, out=block[0]), out=block[0])
     np.minimum(c, xv, out=block[1])
-    absdiff, smin = np.add.reduce(block, axis)
+    absdiff, smin = _component_sums(block)
 
     # Fault-free path: when 0 < sum(x) <= 2^1020 and every row sum lies in
     # (0, 2^1020], no step below divides by 0 or reaches inf, so it needs no
@@ -389,10 +388,10 @@ def _weight_tables(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
 def _outlier_rule(t: np.ndarray, theta: float, k: float) -> tuple[np.ndarray, np.ndarray]:
     """The rule itself, unskipped: outcomes more than ``k`` stds from their row mean weigh ``theta``.
 
-    Every sum runs over the leading axis, one term after the other. For
-    n < 8 that is the order in which numpy sums a row, so every value is
-    bit-identical to the row-major rule. For n >= 8 it is the same whenever
-    there is one row, as in ``compute_weights``; the router has n = 3.
+    Every sum is a reduce over the leading axis, so every value is
+    bit-identical to the row-major rule for n < 8 (the router has n = 3)
+    and, as numpy sums one row as a vector, for one row, as in
+    ``compute_weights``.
     Each outcome's weight is looked up by its row's outlier count in
     ``_weight_tables``, which hold the values the rule's formula gives.
     A row whose std is 0 is uniform: its deviations can still be nonzero,
@@ -503,7 +502,7 @@ def _score_floats(xv: np.ndarray, matrix: RoutingMatrix, theta: float, k: float)
     Only for what ``_takes_float_path`` admits. It returns None, before any
     scoring, unless 0 < sum(x) <= SUM_BOUND: with the matrix's flag, that is
     the kernel's unguarded path, with no division by zero, overflow or NaN.
-    Each sum of fewer than 8 terms runs left to right, as numpy adds them.
+    Each sum runs left to right, as the kernel adds them.
     c - x and x - c differ only in sign, so |c - x| and min(c, x) come from
     one comparison. J and S are non-negative and K is at most 1, exactly, so
     each needs only its other clip. Pooling is ((J/3 + S/3) + K/3), as

@@ -60,6 +60,18 @@ def cf_of(points) -> ClusterFeature:
     return cf
 
 
+def sum_left_to_right(a) -> np.ndarray:
+    """Sums over the last axis of ``a``, as ``0.0 + a[..., 0] + a[..., 1] + ...`` in that order.
+
+    The reference for every sum over M components: numpy's reduce starts from +0.0 too.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    total = np.zeros(a.shape[:-1])
+    for j in range(a.shape[-1]):
+        total = total + a[..., j]
+    return total
+
+
 def make_synopsis(centroids, partition_id=1, count=100, version=1) -> Synopsis:
     """Synopsis whose dominant clusters are point masses at the given centroids."""
     centroids = np.atleast_2d(np.asarray(centroids, dtype=np.float64))

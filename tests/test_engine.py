@@ -24,7 +24,7 @@ from synalloc.similarity import SUM_BOUND, RoutingMatrix, _takes_float_path
 import synalloc.engine
 import synalloc.similarity
 
-from conftest import ROOT, load_bench, make_synopsis, tree_state
+from conftest import ROOT, load_bench, make_synopsis, sum_left_to_right, tree_state
 
 oracle = load_bench("oracle")
 
@@ -764,8 +764,8 @@ def assert_same_synopsis(got, want):
 
 
 def assert_sums_of_a_fresh_build(eng):
-    """The routing matrix's row sums and flag equal those taken afresh over the C-ordered published rows."""
-    sums = np.concatenate([s.centroids for s in eng.synopses]).sum(axis=1)
+    """The routing matrix's row sums and flag equal those taken afresh, left to right, over the published rows."""
+    sums = sum_left_to_right(np.concatenate([s.centroids for s in eng.synopses]))
     matrix = eng._matrix
     assert (matrix.sums.dtype, matrix.sums.tobytes()) == (sums.dtype, sums.tobytes())
     assert matrix.bounded is bool(((sums > 0.0) & (sums <= SUM_BOUND)).all())
@@ -811,7 +811,7 @@ class TestRoutingMatrix:
     """The matrix is patched in place or rebuilt on each publish; it must equal a fresh stack."""
 
     @given(
-        dimension=st.sampled_from([2, 8, 129]),  # numpy sums a row pairwise from M = 8 on
+        dimension=st.sampled_from([2, 8, 129]),  # numpy sums one row pairwise from M = 8 on
         seed=st.integers(0, 2**32 - 1),
         n_partitions=st.integers(1, 16),
         alpha_refresh=st.one_of(
@@ -833,8 +833,8 @@ class TestRoutingMatrix:
             offsets = np.cumsum([0] + [len(s.centroids) for s in eng.synopses])
             matrix = eng._matrix
             assert (matrix.centroids.shape, matrix.centroids.dtype) == (centroids.shape, centroids.dtype)
-            # The kernel's memory order: its (M, rows) view contiguous below M = 8, its rows from 8 on.
-            assert matrix.centroids.flags["F_CONTIGUOUS" if dimension < 8 else "C_CONTIGUOUS"]
+            # The kernel's memory order, at every M: its (M, rows) view contiguous.
+            assert matrix.centroids.flags["F_CONTIGUOUS"]
             assert matrix.centroids.tobytes() == centroids.tobytes()
             assert (matrix.offsets.dtype, matrix.offsets.tobytes()) == (offsets.dtype, offsets.tobytes())
             assert_sums_of_a_fresh_build(eng)

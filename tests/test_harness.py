@@ -11,6 +11,7 @@ from synalloc import (
     EngineConfig,
     ScenarioSpec,
     SyntheticInit,
+    VectorError,
     execute_scenario,
     load_air_quality,
     partition_stats,
@@ -47,6 +48,12 @@ class TestPartitionStats:
     def test_empty_set_is_an_error(self):
         with pytest.raises(EmptyClusterError):
             partition_stats(np.empty((0, 3)))
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3, 1)])
+    def test_a_non_matrix_names_its_shape(self, shape):
+        with pytest.raises(VectorError) as exc:
+            partition_stats(np.ones(shape))
+        assert f"got shape {shape}" in str(exc.value)
 
 
 class TestRunScenario:

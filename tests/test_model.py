@@ -10,6 +10,8 @@ must equal the machine's own.
 With k drawn on both sides of sqrt(6), d from 1 to 12 and up to 8
 partitions, both sides of the float path's dispatch (M < 8, at most
 ``FLOAT_PATH_ROWS`` rows, the outlier rule skipped) run in one machine.
+From d = 8 on, a one-row matrix or segment, and sum(x), are where numpy
+would sum pairwise; the kernel adds them left to right at every d.
 """
 
 import math

@@ -40,7 +40,7 @@ from synalloc.similarity import (
     score_segments,
 )
 
-from conftest import load_bench, make_synopsis
+from conftest import load_bench, make_synopsis, sum_left_to_right
 
 oracle = load_bench("oracle")
 
@@ -117,11 +117,14 @@ class TestMetrics:
 # ---------------------------------------------------------------- fused kernel
 
 def reference_dissim_rows(x, centroids):
-    """The kernel as three separate sums and masked divisions: the reference for ``_dissim_rows``."""
-    sx = float(x.sum())
-    sc = centroids.sum(axis=1)
-    absdiff = np.abs(centroids - x).sum(axis=1)
-    smin = np.minimum(centroids, x).sum(axis=1)
+    """The kernel as three separate sums and masked divisions: the reference for ``_dissim_rows``.
+
+    Every sum over the M components is added left to right, at every M.
+    """
+    sx = float(sum_left_to_right(x))
+    sc = sum_left_to_right(centroids)
+    absdiff = sum_left_to_right(np.abs(centroids - x))
+    smin = sum_left_to_right(np.minimum(centroids, x))
 
     tot = sx + sc
     denom1 = tot + absdiff
@@ -185,8 +188,8 @@ class TestFusedKernel:
             assert_same_bits(dissim_rows(x, centroids, guarded=True), reference_dissim_rows(x, centroids))
 
     def test_does_not_depend_on_the_memory_layout(self, rng):
-        # The matrix sums its rows C-ordered, so a Fortran-ordered block
-        # has each row summed in the same order (pairwise from M = 8 on).
+        # The matrix stacks every block Fortran-ordered and sums each row left
+        # to right, so a C-ordered block and a Fortran-ordered one score alike.
         x = rng.uniform(0, 1, 20)
         centroids = rng.uniform(0, 1e3, (30, 20))
         got = dissim_rows(x, np.asfortranarray(centroids))
@@ -196,10 +199,10 @@ class TestFusedKernel:
     @pytest.mark.parametrize("rows", [1, 2, 386])
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 129, 300])
     def test_matches_the_reference_at_the_layout_edges(self, m, rows):
-        # Below M = 8 the sums run over the middle axis of a (2, M, rows) block, from
-        # M = 8 on along the rows of a (2, rows, M) one, which numpy sums pairwise and,
-        # past 128 elements, splits recursively. Row scales vary over ten decades so
-        # that the order of the additions shows in the last bits.
+        # At every M the sums run over the middle axis of a (2, M, rows) block, left
+        # to right; at one row, where numpy would sum pairwise from M = 8 on and, past
+        # 128 elements, split recursively, through accumulate. Row scales vary over ten
+        # decades so that the order of the additions shows in the last bits.
         rng = np.random.default_rng(1000 * m + rows)
         x = rng.uniform(0, 1, m) * 10.0 ** rng.uniform(-5, 5, m)
         centroids = rng.uniform(0, 1, (rows, m)) * 10.0 ** rng.uniform(-5, 5, (rows, 1))
@@ -208,22 +211,26 @@ class TestFusedKernel:
         assert_same_bits(dissim_rows(np.zeros(m), centroids), reference_dissim_rows(np.zeros(m), centroids))
 
     def test_numpy_sums_fewer_than_eight_terms_left_to_right(self):
-        """Canary for the kernels' bit-identity: both lay out sums of fewer than 8 terms
-        along a leading axis, which numpy adds one term after the other, where the
-        reference formulas sum rows. A numpy that adds short rows in another order
-        fails here, before it changes any ``--records`` output."""
+        """Canary for the kernels' bit-identity. They sum the M components over a leading
+        axis, where the reference formulas add each row left to right. Pinned here:
+        numpy adds fewer than 8 terms left to right along a row or a leading axis alike;
+        it adds a leading axis left to right at any length up to 300 while the other axes
+        hold 2 rows or more; with one row it sums that axis as it sums a vector, pairwise
+        from 8 terms; and ``accumulate`` adds left to right at any length. The last two
+        are why ``_component_sums`` accumulates one row. A numpy that adds in another
+        order fails here, before it changes any ``--records`` output."""
         rng = np.random.default_rng(8)
-        for m in range(1, 8):
-            a = rng.uniform(0, 1, (2000, m)) * 10.0 ** rng.uniform(-300, 300, (2000, 1))
-            a *= 10.0 ** rng.uniform(-2, 2, (2000, m))
-            left = 0.0 + a[:, 0]
-            for j in range(1, m):
-                left = left + a[:, j]
-            assert a.sum(axis=1).tobytes() == left.tobytes()
+        for m in [*range(1, 10), 16, 64, 128, 129, 300]:
+            a = rng.uniform(0, 1, (400, m)) * 10.0 ** rng.uniform(-300, 300, (400, 1))
+            a *= 10.0 ** rng.uniform(-2, 2, (400, m))
+            left = sum_left_to_right(a)
             assert a.T.copy().sum(axis=0).tobytes() == left.tobytes()
-            right = 0.0 + a[:, -1]
-            for j in range(m - 2, -1, -1):
-                right = right + a[:, j]
+            assert np.add.accumulate(a.T, axis=0)[-1].tobytes() == left.tobytes()
+            one_row = np.array([row[:, None].sum(axis=0)[0] for row in a])
+            assert one_row.tobytes() == a.sum(axis=1).tobytes()  # a vector's sum, row by row
+            assert np.array([np.add.accumulate(row)[-1] for row in a]).tobytes() == left.tobytes()
+            assert (one_row != left).any() == (m >= 8)
+            right = sum_left_to_right(a[:, ::-1])
             assert (right != left).any() == (m >= 3)  # the order shows in the sums
 
     @pytest.mark.parametrize("x_zero", [False, True])
@@ -243,8 +250,8 @@ class TestFusedKernel:
         # The sums and flag as the engine builds them, from blocks in either memory layout.
         x, centroids = case
         matrix = RoutingMatrix([np.asfortranarray(centroids) if fortran else centroids])
-        assert matrix.sums.tobytes() == centroids.sum(axis=1).tobytes()
-        assert matrix.centroids.flags["F_CONTIGUOUS" if centroids.shape[1] < 8 else "C_CONTIGUOUS"]
+        assert matrix.sums.tobytes() == sum_left_to_right(centroids).tobytes()
+        assert matrix.centroids.flags["F_CONTIGUOUS"]
         assert matrix.centroids.tobytes() == centroids.tobytes()
         with np.errstate(all="ignore"):  # sums near 1e300 overflow in both
             got = _dissim_rows(x, matrix)
@@ -285,6 +292,40 @@ class TestFusedKernel:
             assert RoutingMatrix([np.array(sums)[:, None]]).bounded is False
 
 
+    @pytest.mark.parametrize("m", [8, 9, 129, 300])
+    def test_every_one_row_path_sums_left_to_right(self, m):
+        """Where numpy would sum one row pairwise, each one-row path still adds left to right:
+        a one-row matrix, a patch of a one-row segment (alone and among other rows),
+        ``ensemble_similarity`` on one centroid, and the three scalar metrics. Component
+        scales span ten decades, so that the order shows. A row of -0.0s sums to +0.0, as
+        it does among other rows."""
+        rng = np.random.default_rng(m)
+        pairwise_differs = False
+        for _ in range(20):
+            x = rng.uniform(0, 1, m) * 10.0 ** rng.uniform(-5, 5, m)
+            c = rng.uniform(0, 1, (1, m)) * 10.0 ** rng.uniform(-5, 5, m)
+            want, sums = reference_dissim_rows(x, c), sum_left_to_right(c)
+            pairwise_differs |= bool(np.add.reduce(c[0]) != sums[0] or np.add.reduce(x) != sum_left_to_right(x))
+            built = RoutingMatrix([c])
+            alone = RoutingMatrix([rng.uniform(0, 1, (1, m))])
+            patched = RoutingMatrix([rng.uniform(0, 1, (1, m)), rng.uniform(0, 1, (3, m))])
+            assert alone.patch(0, c) and patched.patch(0, c)
+            for matrix in (built, alone, patched):
+                assert matrix.sums[:1].tobytes() == sums.tobytes()
+                assert _dissim_rows(x, matrix)[:1].tobytes() == want.tobytes()
+            score = ensemble_similarity(x, make_synopsis(c))
+            assert np.array([o.dissimilarity for o in score.per_metric]).tobytes() == want[0].tobytes()
+            pooled = _pool(want.T.copy(), DEFAULT_THETA, DEFAULT_OUTLIER_K)[1]
+            assert np.float64(score.pooled_dissimilarity).tobytes() == pooled.tobytes()
+            assert np.array([f(x, c[0]) for f in ALL_METRICS]).tobytes() == want[0].tobytes()
+        assert pairwise_differs  # a pairwise sum would show in these draws
+        zeros = np.full((1, m), -0.0)
+        matrix = RoutingMatrix([zeros, np.ones((2, m))])
+        assert matrix.patch(0, zeros)
+        for sums in (RoutingMatrix([zeros]).sums, matrix.sums[:1]):
+            assert sums.tobytes() == np.zeros(1).tobytes()
+
+
 class TestRoutingMatrix:
     @pytest.mark.parametrize("m", [2, 9])
     def test_patch_writes_a_segment_in_place_only_at_its_row_count(self, rng, m):
@@ -298,7 +339,7 @@ class TestRoutingMatrix:
             assert matrix.patch(1, rows) is True
             fresh = RoutingMatrix([a, rows])
             assert all(x is y for x, y in zip((matrix.centroids, matrix.offsets, matrix.sums), arrays))
-            assert matrix.centroids.flags["F_CONTIGUOUS" if m < 8 else "C_CONTIGUOUS"]
+            assert matrix.centroids.flags["F_CONTIGUOUS"]
             for name in ("centroids", "offsets", "sums"):
                 assert getattr(matrix, name).tobytes() == getattr(fresh, name).tobytes()
             assert matrix.bounded is fresh.bounded is bounded
@@ -540,6 +581,16 @@ class TestWeights:
         wv = compute_weights(outcomes, theta=0.05, k=1.0)
         products = (np.array(outcomes) * wv.weights).tolist()
         assert opinion_pool(outcomes, wv) == functools.reduce(operator.add, products) != float(np.add.reduce(products))
+
+    @pytest.mark.parametrize("outcomes", [[[0.1, 0.2], [0.3, 0.4]], [np.nan, 0.2, 0.3], ["a", "b", "c"]],
+                             ids=["2-D", "NaN", "text"])
+    def test_weights_reject_malformed_outcomes(self, outcomes):
+        with pytest.raises(VectorError):
+            compute_weights(outcomes, 0.1)
+
+    def test_pool_rejects_malformed_outcomes(self):
+        with pytest.raises(VectorError):
+            opinion_pool([[0.1, 0.2, 0.3]], WeightVector(np.full(3, 1 / 3), theta=0.1))
 
     def test_pool_length_mismatch(self):
         wv = WeightVector(np.array([0.5, 0.5]), theta=0.1)
