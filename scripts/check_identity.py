@@ -24,9 +24,9 @@ length:
 - preset 2 at alpha 1 (seed 3), where every leaf entry is dominant from
   the moment it is created;
 - preset 1 at 16 and 17 partitions (seed 1), whose one-row synopses make a
-  routing matrix of 16 and 17 rows: just inside and just outside the
-  float path's bound (``FLOAT_PATH_ROWS``), so that one case is scored in
-  plain floats and the other on the kernel;
+  routing matrix of 16 and 17 rows of 5 components: just inside and just
+  outside the float path's bounds (``FLOAT_PATH_ROWS``, ``FLOAT_PATH_CELLS``),
+  so that one case is scored in plain floats and the other on the kernel;
 - preset 1 in 2 partitions at alpha 400 and threshold 18.0 (seed 1), whose
   synopses publish 1-12 rows each, a matrix of 2-13 rows inside that
   bound, so that the float path takes each segment's best of several rows;

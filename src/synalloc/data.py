@@ -19,7 +19,6 @@ from .validation import check_int
 # matching strips everything non-alphanumeric, so both spellings resolve.
 DIMENSION_COLUMNS = ("CO_GT", "NMHC_GT", "C6H6_GT", "NOX_GT", "NO2_GT")
 
-_MISSING_SENTINEL = -200.0
 # Most all-zero rows a synthetic block may expect to redraw: at ~10 us a redraw round, some 10 s.
 MAX_EXPECTED_REDRAWS = 1_000_000
 

@@ -247,12 +247,12 @@ class AllocationEngine:
         version is 1 plus the refreshes that its partition's inserts have made due) and
         that the synopsis names the partition that publishes it. A negative centroid is
         also outside the router's domain, so it fails weight convexity too.
-        The routing matrix is held to a fresh build on the published centroids
-        (``RoutingMatrix.differences``), and that build is probed with each
-        partition's first centroid and the zero vector (``RoutingMatrix.probe``):
-        every row's weights and similarity, the outlier-rule skip and, where the
-        engine's matrix is current and sends a probe down the float path, that
-        path's similarities. Each fault is reported once per partition whose rows it hits.
+        The routing matrix, float lists included, is held to a fresh build on the
+        published centroids (``RoutingMatrix.differences``), and that build is probed
+        with each partition's first centroid and the zero vector (``RoutingMatrix.probe``):
+        every row's weights and similarity, the outlier-rule skip and, where a probe
+        takes the float path, that path's similarities. Each fault is reported once
+        per partition whose rows it hits.
         """
         issues: list[str] = []
         cfg = self.config
@@ -294,12 +294,11 @@ class AllocationEngine:
                 issues += differences
             offsets = fresh.offsets
             row_pid = np.repeat(np.arange(1, len(offsets)), np.diff(offsets))
-            live = None if differences else self._matrix  # a stale matrix's float path is not scored
             # Each partition's first centroid and the zero vector, which the kernel scores guarded (sum 0).
             probes = [(f" for partition {pid}'s first centroid", fresh.centroids[lo])
                       for pid, lo in enumerate(offsets[:-1].tolist(), start=1)]
             for name, x in probes + [(" for the zero vector", np.zeros(cfg.dimension))]:
-                for fault, rows_hit in fresh.probe(x, live, cfg.theta, cfg.outlier_k).items():
+                for fault, rows_hit in fresh.probe(x, cfg.theta, cfg.outlier_k).items():
                     for pid in dict.fromkeys(row_pid[rows_hit].tolist()):  # once per partition
                         weights_ok = False
                         issues.append(f"partition {pid}: {fault}{name}")

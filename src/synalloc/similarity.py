@@ -21,10 +21,11 @@ row.
 A small matrix costs the kernel ~20 numpy calls whatever its size, so
 ``score_segments`` scores it in plain Python floats instead
 (``_score_floats``), with the kernel's arithmetic in the kernel's order and
-so the same bits. It does so only on the kernel's fault-free path, with the
-outlier rule skipped, M < 8 and at most ``FLOAT_PATH_ROWS`` rows: Python
-floats overflow silently and raise on division by zero, so nothing outside
-that domain may reach them. The matrix holds the lists that path reads.
+so the same bits. The matrix holds the rows and row sums that path reads as
+Python lists only when its row sums are fault-free and it is small, and the
+path runs only with the outlier rule skipped and 0 < sum(x) <= SUM_BOUND: on
+the kernel's fault-free path, as Python floats overflow silently and raise
+on division by zero.
 
 ``RoutingMatrix.differences`` and ``RoutingMatrix.probe`` are the matrix's
 audit, as ``CFTree.consistency_issues`` is the tree's: the engine picks the
@@ -99,6 +100,8 @@ def _check_weight_params(theta: float, k: float, n: int = len(METRICS)) -> None:
 def _outcomes(x, s) -> np.ndarray:
     """Validated (J, S, K) outcomes of one pair: the one-row case of ``_dissim_rows``."""
     xv = as_vector(x, nonneg=True)
+    if not xv.size:  # else two empty sums would score as identical
+        raise VectorError("expected a vector of one component or more, got none")
     sv = as_vector(s, dim=xv.shape[0], nonneg=True)
     return _dissim_rows(xv, RoutingMatrix([sv[None, :]]))[0]
 
@@ -152,10 +155,12 @@ def opinion_pool(outcomes, weights: WeightVector) -> float:
 
 # Fault-free bound on sum(x) and on every centroid row sum; see ``_dissim_rows``.
 SUM_BOUND = 2.0**1020
-# Most rows (at M < 8) that ``score_segments`` scores in plain Python floats; both bound only its
-# cost. That is mostly per row: at 16 rows it took 0.54-0.86 of the kernel's time for M = 1 to 7, at
-# 20 rows up to 0.92 (a sweep on a 2-vCPU host, in CHANGES.md).
+# Most rows, and most rows x M components, that ``score_segments`` scores in plain Python floats; both
+# bound only its cost. At 16 rows it took 0.54-0.86 of the kernel's time for M = 1 to 7, at 20 rows up
+# to 0.92; at the largest row counts within 112 components, 0.35-0.82 for M = 8 to 112 (sweeps on a
+# 2-vCPU host, in CHANGES.md). 16 x 7 = 112, so the second bound admits nothing new below M = 8.
 FLOAT_PATH_ROWS = 16
+FLOAT_PATH_CELLS = 112
 _UNGUARDED = contextlib.nullcontext()
 
 
@@ -187,8 +192,8 @@ class RoutingMatrix:
     written: earlier ``SegmentScores`` read it. The blocks are stacked as
     float64, so that integer rows are summed as floats and cannot wrap.
     ``floats`` holds the rows and their sums as Python lists for
-    ``score_segments``' float path, when M < 8 and there are at most
-    ``FLOAT_PATH_ROWS`` rows; otherwise it is None.
+    ``score_segments``' float path when ``_float_lists``, the one rule for a
+    build and a patch, admits them; otherwise it is None.
     """
 
     __slots__ = ("centroids", "offsets", "sums", "bounded", "floats")
@@ -198,8 +203,14 @@ class RoutingMatrix:
         self.offsets = np.array([0, *itertools.accumulate(map(len, blocks))])
         self.sums = _component_sums(self.centroids.T)
         self.bounded = _in_bound(self.sums)
+        self.floats = self._float_lists()
+
+    def _float_lists(self) -> tuple[list[list[float]], list[float]] | None:
+        """``floats`` as the rows, their sums and the flag give it: new lists when the flag is up
+        and the matrix has at most ``FLOAT_PATH_ROWS`` rows and ``FLOAT_PATH_CELLS`` components."""
         rows, m = self.centroids.shape
-        self.floats = (self.centroids.tolist(), self.sums.tolist()) if m < 8 and rows <= FLOAT_PATH_ROWS else None
+        small = rows <= FLOAT_PATH_ROWS and rows * m <= FLOAT_PATH_CELLS
+        return (self.centroids.tolist(), self.sums.tolist()) if self.bounded and small else None
 
     def patch(self, s: int, rows: np.ndarray) -> bool:
         """Write ``rows`` over segment ``s`` in place, with their sums and the flag.
@@ -212,26 +223,23 @@ class RoutingMatrix:
         re-derived from the patched sums, usually one, checked in Python as
         two ufunc reductions cost more; every row is scanned only when it
         was down, as a row outside the bound may be the one replaced.
-        ``floats`` gets new lists, not writes into its old ones.
+        ``floats`` is derived anew: new lists, never writes into the old ones.
         """
         lo, hi = self.offsets[s:s + 2].tolist()
         if hi - lo != len(rows):
             return False
-        block = self.centroids[lo:hi]
-        block[...] = rows
+        self.centroids[lo:hi] = rows
         patched = _component_sums(self.centroids.T, out=self.sums)[lo:hi].tolist()
         self.bounded = (all(0.0 < v <= SUM_BOUND for v in patched)  # _in_bound; NaN fails
                         and (self.bounded or _in_bound(self.sums)))
-        if self.floats is not None:
-            old_rows, old_sums = self.floats
-            self.floats = old_rows[:lo] + block.tolist() + old_rows[hi:], old_sums[:lo] + patched + old_sums[hi:]
+        self.floats = self._float_lists()
         return True
 
     def differences(self, fresh: RoutingMatrix) -> list[str]:
         """How this matrix differs from ``fresh``, a new build on the blocks it should hold.
 
-        Its rows and offsets, its row sums and its fault-free flag are each
-        compared with the fresh build's, one issue for each that differs.
+        Its rows and offsets, row sums, fault-free flag and float lists are
+        each compared with the fresh build's, one issue for each that differs.
         """
         issues = []
         if not (np.array_equal(self.centroids, fresh.centroids) and np.array_equal(self.offsets, fresh.offsets)):
@@ -241,21 +249,24 @@ class RoutingMatrix:
         if self.bounded != fresh.bounded:
             issues.append(f"routing matrix fault-free flag is {self.bounded}, "
                           f"the published row sums give {fresh.bounded}")
+        if self.floats != fresh.floats:
+            issues.append("routing matrix float lists differ from the published centroids")
         return issues
 
-    def probe(self, x: np.ndarray, live: RoutingMatrix | None, theta: float, k: float) -> dict[str, np.ndarray]:
+    def probe(self, x: np.ndarray, theta: float, k: float) -> dict[str, np.ndarray]:
         """Each fault of the router's scores for ``x``, as a mask over the rows of this fresh build.
 
-        The kernel scores ``x`` against every row: weights must be convex and
-        similarities in [0, 1]. Where it skipped the outlier rule, the rule
-        runs on the same outcomes, its weights are checked, and its pooled
-        values must equal the kernel's bit for bit (NaN equal to NaN). Where
-        ``score_segments``' own tests (``_takes_float_path``, ``_score_floats``)
-        send ``x`` down the float path over ``live``, the matrix the router
-        reads, each segment's similarity must equal the kernel's bit for bit,
-        or all its rows fail. Pass None for a ``live`` that ``differences`` faults.
+        ``score_segments`` scores ``x`` against this build as the router
+        scores a matrix. The kernel's scores are checked on every row:
+        weights must be convex and similarities in [0, 1]. Where it skipped
+        the outlier rule, the rule runs on the same outcomes, its weights are
+        checked, and its pooled values must equal the kernel's bit for bit
+        (NaN equal to NaN). Where ``score_segments`` took the float path, each
+        segment's similarity must equal the kernel's bit for bit, or all its
+        rows fail; where it took the kernel, its scores are the kernel's.
         """
-        scores = _score_kernel(x, self, theta, k)
+        routed = score_segments(x, self, theta, k)
+        scores = _score_kernel(x, self, theta, k) if routed._replay is not None else routed
         w, pooled = scores.rule_weights, scores.pooled
         skip_differs = np.zeros(len(pooled), dtype=bool)
         if w is None:  # the kernel skipped the rule: run it, and hold the skip to it
@@ -263,17 +274,13 @@ class RoutingMatrix:
             w = rule_w.T
             skip_differs = ((rule_pooled.view(np.int64) != pooled.view(np.int64))
                             & ~(np.isnan(rule_pooled) & np.isnan(pooled)))
-        float_differs = np.zeros(len(pooled), dtype=bool)
-        routed = _score_floats(x, live, theta, k) if live is not None and _takes_float_path(live, k) else None
-        if routed is not None:
-            differs = routed.similarities.view(np.int64) != scores.similarities.view(np.int64)
-            float_differs = np.repeat(differs, np.diff(self.offsets))
+        float_differs = routed.similarities.view(np.int64) != scores.similarities.view(np.int64)
         sims = 1.0 - pooled
         return {
             "non-convex weights": (w < 0).any(axis=1) | (w > 1).any(axis=1) | (np.abs(w.sum(axis=1) - 1.0) > 1e-12),
             "similarity out of range": ~((sims >= 0.0) & (sims <= 1.0)),
             "outlier-rule skip pools differently from the rule": skip_differs,
-            "float-path similarity differs from the kernel's": float_differs,
+            "float-path similarity differs from the kernel's": np.repeat(float_differs, np.diff(self.offsets)),
         }
 
 
@@ -487,21 +494,13 @@ class SegmentScores(Sequence):
         ]
 
 
-def _takes_float_path(matrix: RoutingMatrix, k: float) -> bool:
-    """Whether ``score_segments`` may score ``matrix`` in floats, before it reads sum(x).
-
-    The matrix holds its lists (M < 8, at most ``FLOAT_PATH_ROWS`` rows),
-    its row sums are fault-free, and the outlier rule is skipped.
-    """
-    return matrix.floats is not None and matrix.bounded and _rule_skipped(len(METRICS), k)
-
-
 def _score_floats(xv: np.ndarray, matrix: RoutingMatrix, theta: float, k: float) -> SegmentScores | None:
     """``score_segments`` in plain Python floats, bit for bit: the kernel's arithmetic in its order.
 
-    Only for what ``_takes_float_path`` admits. It returns None, before any
-    scoring, unless 0 < sum(x) <= SUM_BOUND: with the matrix's flag, that is
-    the kernel's unguarded path, with no division by zero, overflow or NaN.
+    Only for a matrix that holds its lists, and so whose flag is up, with
+    the outlier rule skipped. It returns None, before any scoring, unless
+    0 < sum(x) <= SUM_BOUND: with the flag, that is the kernel's unguarded
+    path, with no division by zero, overflow or NaN.
     Each sum runs left to right, as the kernel adds them.
     c - x and x - c differ only in sign, so |c - x| and min(c, x) come from
     one comparison. J and S are non-negative and K is at most 1, exactly, so
@@ -558,12 +557,12 @@ def score_segments(
 
     Small matrices are scored in plain Python floats (``_score_floats``),
     where numpy's per-call cost would be most of the time. That path is
-    taken when all of these hold: the matrix's row sums are fault-free,
-    0 < sum(x) <= SUM_BOUND, M < 8, the outlier rule is skipped (k^2 >= 2n),
-    and the matrix has at most ``FLOAT_PATH_ROWS`` rows. It gives the kernel's
-    values bit for bit. Everything else takes the kernel.
+    taken when the matrix holds its float lists (``RoutingMatrix.floats``),
+    the outlier rule is skipped (k^2 >= 2n) and 0 < sum(x) <= SUM_BOUND.
+    It gives the kernel's values bit for bit. Everything else takes the kernel.
     """
-    if _takes_float_path(matrix, k) and (scores := _score_floats(xv, matrix, theta, k)) is not None:
+    if (matrix.floats is not None and _rule_skipped(len(METRICS), k)
+            and (scores := _score_floats(xv, matrix, theta, k)) is not None):
         return scores
     return _score_kernel(xv, matrix, theta, k)
 
@@ -591,8 +590,9 @@ def ensemble_similarity(
     array: its shape, then, before any cast, that its dtype is a real number
     kind (as ``as_vector`` does for vectors), then its values.
     """
-    if syn.centroids.ndim != 2 or not len(syn.centroids):
-        raise ConfigError(f"synopsis centroid array of shape {syn.centroids.shape}: need one row or more")
+    if syn.centroids.ndim != 2 or not all(syn.centroids.shape):
+        raise ConfigError(f"synopsis centroid array of shape {syn.centroids.shape}: "
+                          "need one row or more, of one component or more")
     xv = as_vector(x, dim=syn.centroids.shape[1], nonneg=True)
     _check_weight_params(theta, k)
     if syn.centroids.dtype.kind not in _REAL_KINDS:
@@ -601,4 +601,5 @@ def ensemble_similarity(
         raise VectorError("malformed input: non-finite synopsis centroid")
     if (syn.centroids < 0).any():
         raise VectorError("domain error: negative synopsis centroid")
-    return score_segments(xv, RoutingMatrix([syn.centroids]), theta, k).ensemble_scores()[0]
+    # The kernel, not score_segments: the per-row values are read, which the float path would replay.
+    return _score_kernel(xv, RoutingMatrix([syn.centroids]), theta, k).ensemble_scores()[0]

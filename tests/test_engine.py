@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import itertools
 import json
 import math
 
@@ -20,13 +21,15 @@ from synalloc import (
     extract_synopsis,
 )
 from synalloc.engine import AllocationRecord
-from synalloc.similarity import SUM_BOUND, RoutingMatrix, _takes_float_path
+from synalloc.similarity import SUM_BOUND, RoutingMatrix
 import synalloc.engine
 import synalloc.similarity
 
 from conftest import ROOT, load_bench, make_synopsis, sum_left_to_right, tree_state
 
 oracle = load_bench("oracle")
+
+FLOAT_LISTS_DIFFER = "routing matrix float lists differ from the published centroids"
 
 
 def reference_json_line(rec):
@@ -559,8 +562,7 @@ class TestAudit:
     def test_holds_the_float_path_to_the_kernel(self, rng, corrupt):
         # Only the live matrix's Python lists change: its arrays, and so the kernel, stay right.
         eng = self._run_engine(rng)
-        assert _takes_float_path(eng._matrix, eng.config.outlier_k)
-        assert eng.audit().ok
+        assert eng._matrix.floats is not None and eng.audit().ok
         rows, sums = eng._matrix.floats
         lo, hi = eng._matrix.offsets[1:3].tolist()
         if corrupt == "rows":
@@ -569,13 +571,45 @@ class TestAudit:
             sums = sums[:lo] + [2.0 * v for v in sums[lo:hi]] + sums[hi:]
         eng._matrix.floats = rows, sums
         report = eng.audit()
-        assert not report.checks["weight_convexity"]
-        assert report.checks["mass_conservation"] and report.checks["synopsis_alpha_compliance"]
-        assert report.checks["cf_consistency"]
-        assert report.issues and all(i.startswith("partition 2: float-path similarity differs from the kernel's for ")
-                                     for i in report.issues), report.issues
-        assert "partition 2: float-path similarity differs from the kernel's for partition 2's first centroid" \
-            in report.issues
+        assert report.issues == [FLOAT_LISTS_DIFFER]
+        assert [k for k, ok in report.checks.items() if not ok] == ["synopsis_alpha_compliance"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scale", [1e-3, 0.5, 2.0])
+    def test_finds_every_corrupted_float_row(self, seed, scale):
+        # Each partition publishes three dominant clusters. A row past a segment's first that the probes'
+        # best rows do not reach showed only in the similarities the router would give other vectors.
+        rng = np.random.default_rng(seed)
+        centers = np.array([[1.0, 1.0, 1.0], [6.0, 6.0, 6.0], [12.0, 2.0, 5.0]])
+        initial = [np.repeat(centers + 10 * i, 5, axis=0) + rng.uniform(0, 0.1, (15, 3)) for i in range(3)]
+        eng = AllocationEngine(EngineConfig(n_partitions=3, dimension=3, alpha=4, threshold=0.5), initial)
+        offsets = eng._matrix.offsets.tolist()
+        assert offsets == [0, 3, 6, 9] and eng.audit().ok
+        rows, sums = eng._matrix.floats
+        for lo, hi in itertools.pairwise(offsets):
+            for r in range(lo + 1, hi):
+                eng._matrix.floats = rows[:r] + [[scale * v for v in rows[r]]] + rows[r + 1:], sums
+                report = eng.audit()
+                assert report.issues == [FLOAT_LISTS_DIFFER], (r, report.issues)
+                assert [k for k, ok in report.checks.items() if not ok] == ["synopsis_alpha_compliance"]
+
+    def test_weight_probe_holds_the_float_path_to_the_kernel(self, rng, monkeypatch):
+        # A float path one ulp off: the probes of the fresh build score it, as the router would.
+        eng = self._run_engine(rng)
+        real = synalloc.similarity._score_floats
+
+        def off_by_an_ulp(*args):
+            scores = real(*args)
+            if scores is not None:
+                scores.similarities = np.nextafter(scores.similarities, -np.inf)
+            return scores
+
+        monkeypatch.setattr(synalloc.similarity, "_score_floats", off_by_an_ulp)
+        report = eng.audit()
+        want = [f"partition {pid}: float-path similarity differs from the kernel's for partition {probe}'s first centroid"
+                for probe in (1, 2, 3) for pid in (1, 2, 3)]
+        assert report.issues == want  # not for the zero vector, which the float path declines
+        assert [k for k, ok in report.checks.items() if not ok] == ["weight_convexity"]
 
     def test_reports_a_negative_published_centroid(self, rng):
         # The router no longer checks centroid signs per call; the audit does.
@@ -976,7 +1010,7 @@ class TestScoresOnRead:
         initial = [np.repeat(centers + 10 * i, 4, axis=0) for i in range(2)] + [scattered]
         cfg = EngineConfig(n_partitions=3, dimension=3, alpha=3, threshold=0.5, outlier_k=k)
         eng = AllocationEngine(cfg, initial)
-        assert _takes_float_path(eng._matrix, k) is (k == 3.0)
+        assert eng._matrix.floats is not None  # at k = 1.2 the rule runs, so the kernel scores it
         return eng
 
     def test_late_reads_are_the_scores_as_of_the_call(self, k):

@@ -3,9 +3,11 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from synalloc.cli import build_parser
+from synalloc.similarity import RoutingMatrix
 
 from conftest import load_script
 
@@ -24,6 +26,15 @@ class TestIdentityCases:
         # A mistyped flag fails on both trees alike, so the gate would read it as identical.
         parsed = build_parser().parse_args(args)
         assert parsed.command == args[0]
+
+    def test_the_float_path_bound_splits_the_p16_and_p17_cases(self):
+        # Preset 1's root-fallback synopses publish one 5-D row per partition: the 16-partition case
+        # must run on the float path and the 17-partition case on the kernel, whatever the bound becomes.
+        cases = dict(check_identity.cases())
+        for n, holds in ((16, True), (17, False)):
+            assert cases[f"run-s1-p{n}"][:7] == ["run", "--scenario", "1", "--seed", "1", "--partitions", str(n)]
+            matrix = RoutingMatrix([np.full((1, 5), 1.0 + i) for i in range(n)])
+            assert (matrix.floats is not None) is holds
 
 
 class TestRunScenarios:

@@ -28,6 +28,7 @@ import synalloc.similarity
 from synalloc.similarity import (
     DEFAULT_OUTLIER_K,
     DEFAULT_THETA,
+    FLOAT_PATH_CELLS,
     FLOAT_PATH_ROWS,
     METRICS,
     SUM_BOUND,
@@ -107,6 +108,12 @@ class TestMetrics:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(VectorError):
             sorensen_dissim([1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("metric", ALL_METRICS + [all_dissims])
+    def test_rejects_vectors_with_no_components(self, metric):
+        # Two empty sums would read as two all-zero vectors: identical.
+        with pytest.raises(VectorError, match="^expected a vector of one component or more, got none$"):
+            metric([], [])
 
     def test_all_dissims_order(self):
         outs = all_dissims([3.0, 1.0], [1.0, 3.0])
@@ -343,6 +350,7 @@ class TestRoutingMatrix:
             for name in ("centroids", "offsets", "sums"):
                 assert getattr(matrix, name).tobytes() == getattr(fresh, name).tobytes()
             assert matrix.bounded is fresh.bounded is bounded
+            assert matrix.floats == fresh.floats and (matrix.floats is None) is not bounded
 
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
@@ -368,15 +376,15 @@ NEAR_SUM_BOUND = [SUM_BOUND / 2, float(np.nextafter(SUM_BOUND, 0.0)), SUM_BOUND,
 def float_path_cases(draw):
     """x and segmented rows on both sides of every bound of the float path's dispatch.
 
-    M is drawn on both sides of 8, and the row count on both sides of FLOAT_PATH_ROWS, with
-    the last row count that fits and the first that does not drawn often. Components span
-    1e-3 to 1e3; x may hold zeros of either sign or subnormals, a row may copy x, be all
-    zero or hold subnormals, and x or a row may sum to near SUM_BOUND. One segment may
-    be patched afterwards, at its row count.
+    M is drawn from 1 to past FLOAT_PATH_CELLS, and the row count on both sides of the last
+    that fits (FLOAT_PATH_ROWS, or fewer by FLOAT_PATH_CELLS), with that count and the next
+    drawn often. Components span 1e-3 to 1e3; x may hold zeros of either sign or
+    subnormals, a row may copy x, be all zero or hold subnormals, and x or a row may sum
+    to near SUM_BOUND. One segment may be patched afterwards, at its row count.
     """
-    m = draw(st.sampled_from([1, 2, 3, 5, 7, 8, 9]))
-    fits = FLOAT_PATH_ROWS
-    n_rows = draw(st.one_of(st.integers(1, fits + 2), st.sampled_from([fits, fits + 1])))
+    m = draw(st.sampled_from([1, 2, 3, 5, 7, 8, 9, 12, 15, 16, 32, 57, 112, 113]))
+    fits = min(FLOAT_PATH_ROWS, FLOAT_PATH_CELLS // m)
+    n_rows = draw(st.one_of(st.integers(1, fits + 2), st.sampled_from([max(fits, 1), fits + 1])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** rng.uniform(-3, 3, m)
 
@@ -434,7 +442,7 @@ class TestFloatPath:
         sums, m = rows.sum(axis=1), rows.shape[1]
         with np.errstate(all="ignore"):
             sx = float(x.sum())
-        takes = bool(m < 8 and len(rows) <= FLOAT_PATH_ROWS and k * k >= 2 * len(METRICS)
+        takes = bool(len(rows) <= FLOAT_PATH_ROWS and len(rows) * m <= FLOAT_PATH_CELLS and k * k >= 2 * len(METRICS)
                      and (sums > 0.0).all() and (sums <= SUM_BOUND).all() and 0.0 < sx <= SUM_BOUND)
 
         real = synalloc.similarity._dissim_rows
@@ -452,11 +460,13 @@ class TestFloatPath:
             assert g.strides == w.strides
         assert score_bits(got) == score_bits(want)
 
-    @pytest.mark.parametrize("m", [1, 5, 7, 8])
-    def test_the_lists_are_held_exactly_where_the_dispatch_can_use_them(self, rng, m):
-        for n_rows in (FLOAT_PATH_ROWS, FLOAT_PATH_ROWS + 1):
-            matrix = RoutingMatrix([rng.uniform(0, 1, (n_rows, m))])
-            assert (matrix.floats is not None) is (m < 8 and n_rows <= FLOAT_PATH_ROWS)
+    @pytest.mark.parametrize("m, fits", [(1, 16), (5, 16), (7, 16), (8, 14), (9, 12), (16, 7), (112, 1), (113, 0)])
+    def test_the_lists_are_held_exactly_where_the_dispatch_can_use_them(self, rng, m, fits):
+        for n_rows in range(max(fits, 1), fits + 2):  # the last row count that fits and the next
+            rows = rng.uniform(0, 1, (n_rows, m))
+            assert (RoutingMatrix([rows]).floats is not None) is (0 < n_rows <= fits)
+            rows[-1:] = 0.0  # a zero row brings the flag down, and the lists with it
+            assert RoutingMatrix([rows]).floats is None
 
     def test_a_patch_rebinds_the_lists(self, rng):
         a, b = rng.uniform(0, 1, (2, 5)), rng.uniform(0, 1, (1, 5))
@@ -467,6 +477,8 @@ class TestFloatPath:
         assert matrix.floats[0] is not rows and matrix.floats[1] is not sums
         assert old == kept  # the old lists are as they were
         assert matrix.floats == (matrix.centroids.tolist(), matrix.sums.tolist())
+        assert matrix.patch(1, np.zeros((1, 5))) and matrix.floats is None  # the flag goes down
+        assert matrix.patch(1, b) and matrix.floats == (matrix.centroids.tolist(), matrix.sums.tolist())
 
 
 def _vector_or_zero(d):
@@ -837,3 +849,14 @@ class TestEnsembleSimilarity:
         syn.centroids = syn.centroids[0]  # one row, but 1-D
         with pytest.raises(ConfigError):
             ensemble_similarity([1.0, 2.0], syn)
+        with pytest.raises(ConfigError, match=r"shape \(1, 0\)"):  # one row of no components scored 1.0
+            ensemble_similarity([], make_synopsis(np.zeros((1, 0))))
+
+    def test_scores_once_on_the_kernel(self):
+        # The score reads the per-row values: the float path would score, then have the kernel replay them.
+        sim = synalloc.similarity
+        with mock.patch.object(sim, "_score_floats", wraps=sim._score_floats) as floats, \
+                mock.patch.object(sim, "_dissim_rows", wraps=sim._dissim_rows) as kernel:
+            score = ensemble_similarity([3.0, 1.0], make_synopsis([[1.0, 3.0], [3.0, 2.0]]))
+        assert floats.call_count == 0 and kernel.call_count == 1
+        assert score.similarity == 1.0 - score.pooled_dissimilarity
